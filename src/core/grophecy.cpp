@@ -104,17 +104,6 @@ void ProjectionOptions::validate() const {
   for (int fuse : fusion_candidates)
     require(fuse >= 1, "fusion_candidates",
             util::strfmt("entries must be >= 1, got %d", fuse));
-  require(surrogate.min_train_points >= 2, "surrogate.min_train_points",
-          util::strfmt("must be >= 2, got %d", surrogate.min_train_points));
-  require(surrogate.max_rel_error > 0.0, "surrogate.max_rel_error",
-          util::strfmt("must be positive, got %g", surrogate.max_rel_error));
-  require(surrogate.refit_interval > 0, "surrogate.refit_interval",
-          util::strfmt("must be positive, got %d", surrogate.refit_interval));
-  require(surrogate.lambda > 0.0, "surrogate.lambda",
-          util::strfmt("must be positive, got %g", surrogate.lambda));
-  require(surrogate.max_pool_points >=
-              static_cast<std::size_t>(surrogate.min_train_points),
-          "surrogate.max_pool_points", "must be >= min_train_points");
 }
 
 Grophecy::Grophecy(hw::MachineSpec machine, ProjectionOptions options)

@@ -32,33 +32,6 @@
 
 namespace grophecy::core {
 
-/// Knobs of the learned surrogate fast tier (src/surrogate): a ridge
-/// model self-distilled from exact projections that answers warm traffic
-/// in microseconds and falls through to the cohort simulator whenever its
-/// binned-residual uncertainty exceeds the gate. Plain data here so the
-/// core options stay dependency-free; the machinery lives in
-/// surrogate::SurrogateEngine. See docs/performance.md, "Surrogate fast
-/// tier".
-struct SurrogateOptions {
-  /// Off by default: the exact pipeline answers everything, as before.
-  bool enabled = false;
-  /// Training-pool floor before the surrogate may answer at all.
-  int min_train_points = 16;
-  /// Confidence gate: serve from the surrogate only when its per-query
-  /// error bound (residual p95 of the nearest training-density bucket)
-  /// is at or below this relative error.
-  double max_rel_error = 0.10;
-  /// Refit the model after this many new observations since the last
-  /// fit. Refits run on a background thread behind a single-flight
-  /// guard, so the serve path never blocks on one.
-  int refit_interval = 32;
-  /// Ridge regularization strength (normal equations).
-  double lambda = 1e-4;
-  /// Cap on the self-distillation pool; the oldest samples are dropped
-  /// beyond it so a long-running daemon's refit cost stays bounded.
-  std::size_t max_pool_points = 4096;
-};
-
 /// Knobs of the projection pipeline; defaults follow the paper.
 struct ProjectionOptions {
   /// Runs averaged per reported measurement (paper: ten).
@@ -100,10 +73,6 @@ struct ProjectionOptions {
   /// set this to a shared value so all jobs on one machine hit the same
   /// cache entry — calibration is per-system, measurement streams per-job.
   std::optional<std::uint64_t> calibration_seed;
-  /// Learned surrogate fast tier (serve::Daemon two-tier serving);
-  /// disabled by default. The exact pipeline itself never consults the
-  /// surrogate — only bulk-traffic layers (the daemon) do.
-  SurrogateOptions surrogate;
 
   /// Throws UsageError naming the offending field when a knob is out of
   /// range (e.g. non-positive measurement_runs or replicates). Grophecy

@@ -57,8 +57,12 @@ double CpuSimulator::run_app_seconds(const skeleton::AppSkeleton& app) {
 double CpuSimulator::measure_app_seconds(const skeleton::AppSkeleton& app,
                                          int runs) {
   GROPHECY_EXPECTS(runs > 0);
+  // The expected time (and so every kernel's footprint) is the same for
+  // each run; only the jitter draws differ.
+  const double base = expected_app_seconds(app);
   double sum = 0.0;
-  for (int i = 0; i < runs; ++i) sum += run_app_seconds(app);
+  for (int i = 0; i < runs; ++i)
+    sum += rng_.lognormal(base, spec_.timing_jitter_sigma);
   return sum / runs;
 }
 

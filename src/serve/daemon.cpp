@@ -49,17 +49,14 @@ std::string stats_reply(std::string_view id, const DaemonStats& stats) {
   count("parse_errors", stats.parse_errors);
   count("usage_errors", stats.usage_errors);
   count("coalesce_hits", stats.coalesce_hits);
+  count("memo_hits", stats.memo_hits);
   count("executed", stats.executed);
   count("expired_unrun", stats.expired_unrun);
   count("abandoned", stats.abandoned);
   count("queue_depth", stats.queue_depth);
   count("inflight", stats.inflight);
+  count("memo_entries", stats.memo_entries);
   reply.emplace_back("ema_exec_ms", stats.ema_exec_s * 1e3);
-  count("surrogate_served", stats.surrogate_served);
-  count("surrogate_fallbacks", stats.surrogate_fallbacks);
-  count("surrogate_observed", stats.surrogate_observed);
-  count("surrogate_refits", stats.surrogate_refits);
-  count("surrogate_pool", stats.surrogate_pool);
   count("calibration_hits", stats.calibration_hits);
   count("calibration_misses", stats.calibration_misses);
   count("skeleton_cache_hits", stats.skeleton_cache_hits);
@@ -79,12 +76,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   GROPHECY_EXPECTS(options_.max_retries >= 0);
   options_.projection.validate();
   job_fn_ = options_.job_fn ? options_.job_fn : make_pipeline_job_fn();
-  // The surrogate models the canonical pipeline (its features come from
-  // the paper-suite artifacts); a custom job_fn answers from its own name
-  // space, so the fast tier stays off there.
-  if (options_.projection.surrogate.enabled && !options_.job_fn)
-    surrogate_ = std::make_unique<surrogate::SurrogateEngine>(
-        options_.projection.surrogate, options_.machine);
   if (options_.workers > 0) {
     workers_ = options_.workers;
   } else {
@@ -257,27 +248,6 @@ void Daemon::handle_line(std::string line, ReplyFn reply) {
   exec::JobSpec spec{request.workload, request.size_label,
                      request.iterations, request.machine};
 
-  // Surrogate fast tier: answered inline from the admission path, like
-  // stats/ping — a confident hit never takes a queue slot or a worker.
-  // A gated (or unfit) query falls through to the exact path below,
-  // whose reply is byte-identical to a surrogate-disabled daemon's.
-  if (surrogate_) {
-    if (const std::optional<surrogate::Prediction> hit =
-            surrogate_->try_predict(spec)) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.ok;
-      }
-      const std::string& machine_name = request.machine.empty()
-                                            ? options_.machine.name
-                                            : request.machine;
-      reply_now(reply, surrogate_reply(request.id, request.workload,
-                                       machine_name, request.iterations,
-                                       *hit));
-      return;
-    }
-  }
-
   // Resolve the deadline: client-supplied (clamped) or the server
   // default, measured from admission.
   double deadline_s = options_.default_deadline_s;
@@ -294,13 +264,19 @@ void Daemon::handle_line(std::string line, ReplyFn reply) {
 
   std::string fingerprint = spec.fingerprint();
 
-  std::string rejection;
+  std::string inline_reply;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!started_ || stopping_) {
       ++stats_.shed;
-      rejection = error_reply(waiter.id, ErrorKind::kOverloaded,
-                              "daemon is not accepting work");
+      inline_reply = error_reply(waiter.id, ErrorKind::kOverloaded,
+                                 "daemon is not accepting work");
+    } else if (auto hit = memo_.find(fingerprint); hit != memo_.end()) {
+      // A repeat of a memoized spec is answered here, like stats/ping:
+      // no queue slot, no worker, no deadline to watch.
+      ++stats_.ok;
+      ++stats_.memo_hits;
+      inline_reply = reply_with_id(waiter.id, hit->second);
     } else if (auto it = inflight_.find(fingerprint);
                it != inflight_.end()) {
       // Coalesce: identical fingerprint, one computation, N replies.
@@ -310,7 +286,7 @@ void Daemon::handle_line(std::string line, ReplyFn reply) {
     } else if (queue_.size() >= options_.max_queue_depth) {
       ++stats_.shed;
       const double hint_ms = retry_after_hint_locked();
-      rejection = error_reply(
+      inline_reply = error_reply(
           waiter.id, ErrorKind::kOverloaded,
           util::strfmt("queue full (%zu queued, bound %zu); retry after "
                        "the hinted delay",
@@ -326,7 +302,7 @@ void Daemon::handle_line(std::string line, ReplyFn reply) {
       return;
     }
   }
-  reply_now(waiter.reply, std::move(rejection));
+  reply_now(waiter.reply, std::move(inline_reply));
 }
 
 std::string Daemon::handle(const std::string& line) {
@@ -403,11 +379,6 @@ void Daemon::worker_loop() {
       sweep_reaper_locked();
     }
     fan_out(task, result);
-    // Self-distillation: the exact answer the waiters just received also
-    // teaches the surrogate (after the replies, so a refit trigger never
-    // delays them; refits themselves run on a background thread).
-    if (surrogate_ && result.report)
-      surrogate_->observe(task->spec, *result.report);
   }
 }
 
@@ -504,16 +475,31 @@ void Daemon::sweep_reaper_locked() {
 
 void Daemon::fan_out(const std::shared_ptr<Task>& task,
                      const ExecResult& result) {
+  // One body serves every waiter (and the memo); it is serialized before
+  // taking the lock.
+  const std::string body =
+      result.report
+          ? reply_body(projection_reply("", *result.report, result.attempts))
+          : std::string();
+  // Only the canonical pipeline is known to be pure, and only a clean
+  // first-attempt result reads the same as any later computation of it.
+  const bool memoize = result.report && !options_.job_fn &&
+                       result.attempts == 1 &&
+                       !result.report->calibration.used_fallback;
+  const std::string fingerprint = task->spec.fingerprint();
+
   std::vector<Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     waiters = std::move(task->waiters);
     task->waiters.clear();
-    // Retire the fingerprint atomically with taking the waiters: later
-    // identical requests start a fresh computation instead of joining a
-    // finished one.
-    auto it = inflight_.find(task->spec.fingerprint());
+    // Retire the fingerprint atomically with taking the waiters (and
+    // with memoizing the reply): later identical requests hit the memo
+    // or start a fresh computation instead of joining a finished one.
+    auto it = inflight_.find(fingerprint);
     if (it != inflight_.end() && it->second == task) inflight_.erase(it);
+    if (memoize && memo_.size() < kMemoCapacity)
+      memo_.emplace(fingerprint, body);
 
     if (result.report) {
       for (const Waiter& waiter : waiters) {
@@ -542,9 +528,7 @@ void Daemon::fan_out(const std::shared_ptr<Task>& task,
       if (late)
         reply_now(waiter.reply, timeout_reply(waiter.id, task->spec));
       else
-        reply_now(waiter.reply,
-                  projection_reply(waiter.id, *result.report,
-                                   result.attempts));
+        reply_now(waiter.reply, reply_with_id(waiter.id, body));
     }
     return;
   }
@@ -561,6 +545,7 @@ DaemonStats Daemon::stats() const {
     out = stats_;
     out.queue_depth = queue_.size();
     out.inflight = inflight_.size();
+    out.memo_entries = memo_.size();
   }
   const pcie::CalibrationCache::Stats calibration =
       pcie::CalibrationCache::instance().stats();
@@ -572,14 +557,6 @@ DaemonStats Daemon::stats() const {
   const auto usage = dataflow::usage_cache().stats();
   out.usage_cache_hits = usage.hits;
   out.usage_cache_misses = usage.misses;
-  if (surrogate_) {
-    const surrogate::SurrogateEngine::Stats fast = surrogate_->stats();
-    out.surrogate_served = fast.served;
-    out.surrogate_fallbacks = fast.fallbacks;
-    out.surrogate_observed = fast.observed;
-    out.surrogate_refits = fast.refits;
-    out.surrogate_pool = fast.pool_size;
-  }
   return out;
 }
 

@@ -34,6 +34,13 @@
 //                 rather than failed — capacity shrinks before it
 //                 vanishes;
 //
+//   reply memo    a projection is a pure function of its spec, the
+//                 machine and the seed, so the canonical pipeline's
+//                 replies are remembered per job fingerprint (at most
+//                 kMemoCapacity of them) and a repeat is answered inline
+//                 from the admission path — no queue slot, no worker —
+//                 byte-identical to a fresh computation;
+//
 //   introspection a "stats" request answers from the admission path —
 //                 never the queue — so the dashboard stays readable
 //                 precisely when the daemon is too busy to serve.
@@ -58,13 +65,13 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/grophecy.h"
 #include "exec/sweep.h"
 #include "hw/registry.h"
 #include "serve/protocol.h"
-#include "surrogate/engine.h"
 
 namespace grophecy::serve {
 
@@ -78,12 +85,7 @@ struct DaemonOptions {
   /// Base projection knobs; per-request measurement seeds are derived
   /// exactly like SweepRequest does (stream_seed of the job identity), so
   /// the daemon and a batch sweep of the same grid measure identical
-  /// values. projection.surrogate.enabled additionally turns on the
-  /// two-tier serve path: confident queries are answered by the learned
-  /// surrogate in microseconds ("tier":"surrogate"), everything else runs
-  /// the exact pipeline as before and feeds the training pool
-  /// (docs/performance.md, "Surrogate fast tier"). Ignored when job_fn is
-  /// overridden — the surrogate models the canonical pipeline only.
+  /// values.
   core::ProjectionOptions projection;
   std::uint64_t base_seed = core::ProjectionOptions{}.seed;
 
@@ -107,7 +109,8 @@ struct DaemonOptions {
   /// thread-safe and tolerate watchdog abandonment, exactly like a
   /// SweepEngine job function. Empty = the canonical pipeline function
   /// (PaperSuite lookup + ExperimentRunner), which validates names with
-  /// typed UsageErrors.
+  /// typed UsageErrors. Only the canonical pipeline is known to be pure,
+  /// so only its replies fill the reply memo.
   exec::SweepEngine::JobFn job_fn;
 
   /// Invoked (once, from a worker or admission thread) when a client
@@ -131,22 +134,16 @@ struct DaemonStats {
   std::uint64_t parse_errors = 0;   ///< Malformed request lines.
   std::uint64_t usage_errors = 0;   ///< Well-formed lines with bad fields.
   std::uint64_t coalesce_hits = 0;  ///< Requests attached to in-flight jobs.
+  std::uint64_t memo_hits = 0;      ///< Requests answered from the reply
+                                    ///< memo (counted in `ok` too).
   std::uint64_t executed = 0;       ///< Jobs actually run (post-coalesce).
   std::uint64_t expired_unrun = 0;  ///< Jobs whose waiters all expired queued.
   std::uint64_t abandoned = 0;      ///< Attempts handed to the reaper.
 
   std::size_t queue_depth = 0;      ///< Gauge: queued jobs right now.
   std::size_t inflight = 0;         ///< Gauge: queued + running jobs.
+  std::size_t memo_entries = 0;     ///< Gauge: replies in the memo.
   double ema_exec_s = 0.0;          ///< Smoothed per-job execution time.
-
-  // Surrogate fast tier (all zero unless projection.surrogate.enabled).
-  // Served replies count in `ok` too — the sum rule above is unchanged.
-  std::uint64_t surrogate_served = 0;     ///< Replies answered by the model.
-  std::uint64_t surrogate_fallbacks = 0;  ///< Queries gated through to exact.
-  std::uint64_t surrogate_observed = 0;   ///< Exact results absorbed as
-                                          ///< training samples.
-  std::uint64_t surrogate_refits = 0;     ///< Completed background refits.
-  std::size_t surrogate_pool = 0;         ///< Gauge: training pool size.
 
   // Warm multi-tenant tier, straight from the process-wide caches.
   std::uint64_t calibration_hits = 0;
@@ -162,6 +159,10 @@ struct DaemonStats {
 class Daemon {
  public:
   using ReplyFn = std::function<void(std::string)>;
+
+  /// Bound on the reply memo. Once it holds this many replies it stops
+  /// taking new ones; the held ones stay and keep answering repeats.
+  static constexpr std::size_t kMemoCapacity = 1024;
 
   explicit Daemon(DaemonOptions options = {});
   /// Shuts down (draining) if still running; joins every thread,
@@ -234,15 +235,14 @@ class Daemon {
   DaemonOptions options_;
   exec::SweepEngine::JobFn job_fn_;
   int workers_ = 1;
-  /// The two-tier fast path; null unless projection.surrogate.enabled
-  /// and the canonical pipeline is in use. Thread-safe on its own locks.
-  std::unique_ptr<surrogate::SurrogateEngine> surrogate_;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::deque<std::shared_ptr<Task>> queue_;
   /// Fingerprint -> queued or running task; the coalescing index.
   std::map<std::string, std::shared_ptr<Task>> inflight_;
+  /// Fingerprint -> reply_body of the canonical pipeline's reply.
+  std::unordered_map<std::string, std::string> memo_;
   std::vector<std::thread> pool_;
   bool started_ = false;
   bool stopping_ = false;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "util/contracts.h"
 #include "util/jsonl.h"
 
 namespace grophecy::serve {
@@ -136,14 +137,9 @@ std::string error_reply(std::string_view id, ErrorKind kind,
   return util::write_flat_json(reply);
 }
 
-namespace {
-
-/// Shared "ok" reply shape of both tiers; the tier tag and the optional
-/// uncertainty field are the only differences, so clients parse one
-/// schema.
-std::string ok_reply(std::string_view id, const core::ProjectionReport& report,
-                     int attempts, std::string_view tier,
-                     std::optional<double> rel_error_bound) {
+std::string projection_reply(std::string_view id,
+                             const core::ProjectionReport& report,
+                             int attempts) {
   util::FlatJson reply;
   reply.emplace_back("id", std::string(id));
   reply.emplace_back("status", std::string("ok"));
@@ -152,7 +148,7 @@ std::string ok_reply(std::string_view id, const core::ProjectionReport& report,
   reply.emplace_back("iterations", static_cast<double>(report.iterations));
   reply.emplace_back("degraded", report.calibration.used_fallback);
   reply.emplace_back("attempts", static_cast<double>(attempts));
-  reply.emplace_back("tier", std::string(tier));
+  reply.emplace_back("tier", std::string("exact"));
   reply.emplace_back("predicted_kernel_s", report.predicted_kernel_s);
   reply.emplace_back("predicted_transfer_s", report.predicted_transfer_s);
   reply.emplace_back("measured_kernel_s", report.measured_kernel_s);
@@ -160,33 +156,30 @@ std::string ok_reply(std::string_view id, const core::ProjectionReport& report,
   reply.emplace_back("measured_cpu_s", report.measured_cpu_s);
   reply.emplace_back("predicted_speedup", report.predicted_speedup_both());
   reply.emplace_back("measured_speedup", report.measured_speedup());
-  if (rel_error_bound) reply.emplace_back("rel_error_bound", *rel_error_bound);
   return util::write_flat_json(reply);
 }
 
+namespace {
+constexpr std::string_view kIdHead = "{\"id\":\"";
 }  // namespace
 
-std::string projection_reply(std::string_view id,
-                             const core::ProjectionReport& report,
-                             int attempts) {
-  return ok_reply(id, report, attempts, "exact", std::nullopt);
+std::string reply_body(std::string_view reply) {
+  GROPHECY_EXPECTS(reply.substr(0, kIdHead.size()) == kIdHead);
+  // json_escape leaves no bare quote inside a string, so the id ends at
+  // the first quote that no backslash escapes.
+  std::size_t end = kIdHead.size();
+  while (end < reply.size() && reply[end] != '"')
+    end += reply[end] == '\\' ? 2 : 1;
+  GROPHECY_EXPECTS(end < reply.size());
+  return std::string(reply.substr(end + 1));
 }
 
-std::string surrogate_reply(std::string_view id, std::string_view workload,
-                            std::string_view machine, int iterations,
-                            const surrogate::Prediction& prediction) {
-  // Reconstruct a scalar-only report so the derived fields (speedups) use
-  // exactly the arithmetic of the exact tier.
-  core::ProjectionReport report;
-  report.app_name = std::string(workload);
-  report.machine_name = std::string(machine);
-  report.iterations = iterations;
-  report.predicted_kernel_s = prediction.targets.values[0];
-  report.predicted_transfer_s = prediction.targets.values[1];
-  report.measured_kernel_s = prediction.targets.values[2];
-  report.measured_transfer_s = prediction.targets.values[3];
-  report.measured_cpu_s = prediction.targets.values[4];
-  return ok_reply(id, report, 0, "surrogate", prediction.rel_error_bound);
+std::string reply_with_id(std::string_view id, std::string_view body) {
+  std::string reply(kIdHead);
+  reply += util::json_escape(id);
+  reply += '"';
+  reply += body;
+  return reply;
 }
 
 std::string pong_reply(std::string_view id) {

@@ -28,7 +28,6 @@
 #include <variant>
 
 #include "core/report.h"
-#include "surrogate/model.h"
 #include "util/error.h"
 
 namespace grophecy::serve {
@@ -83,25 +82,25 @@ std::string error_reply(std::string_view id, ErrorKind kind,
 /// client-side decision derives from, plus the degradation flag: true
 /// when the calibration behind the transfer predictions fell back to the
 /// spec-derived model (the reply is served, not failed — see
-/// docs/serving.md, "Graceful degradation"). Tagged "tier":"exact": the
-/// answer came from the full pipeline, whether or not a surrogate was
-/// consulted first. A pure function of (id, report, attempts), so
-/// coalesced requests sharing one computation get byte-identical replies
-/// — and a surrogate-enabled daemon's fallback replies are byte-identical
-/// to a surrogate-disabled daemon's.
+/// docs/serving.md, "Graceful degradation"). Tagged "tier":"exact": every
+/// answer comes from the full pipeline. A pure function of (id, report,
+/// attempts), so coalesced requests sharing one computation — and repeats
+/// answered from the daemon's reply memo — get byte-identical replies.
 std::string projection_reply(std::string_view id,
                              const core::ProjectionReport& report,
                              int attempts);
 
-/// One reply line with status "ok" served by the surrogate fast tier:
-/// the same field shape as projection_reply (clients need no second
-/// parser) with "tier":"surrogate", attempts 0, and one extra field —
-/// "rel_error_bound", the model's error bound for this query (the p95
-/// residual of its training-density bucket; docs/serving.md, "The tier
-/// field").
-std::string surrogate_reply(std::string_view id, std::string_view workload,
-                            std::string_view machine, int iterations,
-                            const surrogate::Prediction& prediction);
+/// Every reply this header writes leads with its "id" field; the body is
+/// the rest of the line, from the comma after the id to the closing
+/// brace. A body depends only on what was computed, never on who asked,
+/// which is what lets the daemon's reply memo store one body per spec.
+/// Precondition: `reply` was written by this header.
+std::string reply_body(std::string_view reply);
+
+/// The reply line with id `id` and body `body`: the inverse of
+/// reply_body, so reply_with_id(id, reply_body(r)) == r for any reply r
+/// whose id is `id`.
+std::string reply_with_id(std::string_view id, std::string_view body);
 
 /// One reply line with status "ok" for a ping.
 std::string pong_reply(std::string_view id);

@@ -1,10 +1,13 @@
 #include "serve/socket_server.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -46,20 +49,63 @@ sockaddr_un make_address(const std::string& path) {
 
 }  // namespace
 
-/// One live client connection. Outlives its fd: reply callbacks hold a
-/// shared_ptr to it, and `closed` (under `write_mutex`) makes a late
-/// reply a no-op instead of a write to a recycled descriptor.
+/// One live client connection. Outlives its descriptors: reply callbacks
+/// hold a shared_ptr to it, and `closed` (under `write_mutex`) makes a
+/// late reply a no-op. Only the reader thread closes the descriptors, as
+/// it exits and after `closed` is set, so no thread ever reads or writes
+/// a recycled descriptor.
+///
+/// Replies never block the thread that produces them. A client may send a
+/// long pipeline before it reads a single reply; once its receive buffer
+/// is full, a reader thread blocked writing an inline reply (ping, stats,
+/// shed, a memo hit) would stop draining the requests that client is
+/// blocked sending, and both would wait forever. So a reply is sent with
+/// MSG_DONTWAIT, what the socket does not take waits in `unsent`, and the
+/// reader thread flushes it when poll() reports the socket writable.
 struct SocketServer::Connection {
+  /// Reply bytes a client may leave unread before it is treated as gone
+  /// (closed, like a peer whose write failed): the bound on what one
+  /// connection can make the server buffer.
+  static constexpr std::size_t kMaxUnsentBytes = std::size_t{64} << 20;
+
   int fd = -1;
+  /// eventfd the reader thread polls: signalled when bytes are left in
+  /// `unsent`, so the reader starts waiting for POLLOUT too.
+  int wake_fd = -1;
   std::mutex write_mutex;
   bool closed = false;
+  std::string unsent;
+
+  ~Connection() { release_locked(); }  // a connection no reader served
 
   void write_line(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mutex);
     if (closed) return;
-    std::string framed = line;
-    framed.push_back('\n');
-    if (!send_all(fd, framed.data(), framed.size())) close_locked();
+    unsent += line;
+    unsent += '\n';
+    flush_locked();
+    if (closed || unsent.empty()) return;
+    if (unsent.size() > kMaxUnsentBytes) {
+      close_locked();
+      return;
+    }
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd, &one, sizeof(one));
+  }
+
+  /// Sends as much of `unsent` as the socket takes without blocking;
+  /// closes the connection when the peer is gone.
+  void flush_locked() {
+    while (!closed && !unsent.empty()) {
+      const ssize_t n = ::send(fd, unsent.data(), unsent.size(),
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) close_locked();
+        return;
+      }
+      unsent.erase(0, static_cast<std::size_t>(n));
+    }
   }
 
   void close() {
@@ -70,8 +116,22 @@ struct SocketServer::Connection {
   void close_locked() {
     if (closed) return;
     closed = true;
-    ::shutdown(fd, SHUT_RDWR);  // unblocks the reader thread's recv
-    ::close(fd);
+    unsent.clear();
+    ::shutdown(fd, SHUT_RDWR);  // wakes the reader thread's poll
+  }
+
+  /// The reader thread's last act: closes the connection and its
+  /// descriptors, which nothing touches once `closed` is set.
+  void finish() {
+    std::lock_guard<std::mutex> lock(write_mutex);
+    close_locked();
+    release_locked();
+  }
+
+  void release_locked() {
+    if (fd >= 0) ::close(fd);
+    if (wake_fd >= 0) ::close(wake_fd);
+    fd = wake_fd = -1;
   }
 };
 
@@ -106,11 +166,12 @@ void SocketServer::start() {
 void SocketServer::stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // Closing the listener makes accept() fail, ending the accept loop.
+  // Shutting the listener down makes accept() fail, ending the accept
+  // loop; the descriptor is closed only once that thread stopped using it.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   std::vector<std::shared_ptr<Connection>> connections;
   std::vector<std::thread> threads;
@@ -135,6 +196,8 @@ void SocketServer::accept_loop() {
     }
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
+    connection->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (connection->wake_fd < 0) continue;  // out of descriptors: refuse
     std::lock_guard<std::mutex> lock(connections_mutex_);
     if (stopping_.load()) {
       connection->close();
@@ -153,10 +216,40 @@ void SocketServer::serve_connection(std::shared_ptr<Connection> connection) {
   // bytes until its newline, so a hostile client cannot make the server
   // buffer without bound — and cannot starve its own later requests.
   bool discarding = false;
+  // After the client's EOF the thread stays only to deliver the replies
+  // it already owes.
+  bool reading = true;
   while (true) {
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or connection closed by stop()
+    pollfd fds[2] = {{connection->fd, 0, 0}, {connection->wake_fd, POLLIN, 0}};
+    {
+      std::lock_guard<std::mutex> lock(connection->write_mutex);
+      const bool pending = !connection->unsent.empty();
+      if (connection->closed || (!reading && !pending)) break;
+      fds[0].events =
+          static_cast<short>((reading ? POLLIN : 0) | (pending ? POLLOUT : 0));
+    }
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    if (fds[1].revents & POLLIN) {
+      std::uint64_t signals = 0;
+      (void)!::read(connection->wake_fd, &signals, sizeof(signals));
+    }
+    if (fds[0].revents & (POLLOUT | POLLERR | POLLHUP)) {
+      std::lock_guard<std::mutex> lock(connection->write_mutex);
+      connection->flush_locked();
+    }
+    if (!reading || !(fds[0].revents & (POLLIN | POLLERR | POLLHUP)))
+      continue;
+    const ssize_t n =
+        ::recv(connection->fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK))
+      continue;
+    if (n <= 0) {  // EOF, a reset, or the connection closed by stop()
+      reading = false;
+      continue;
+    }
     buffer.append(chunk, static_cast<std::size_t>(n));
 
     std::size_t start = 0;
@@ -187,7 +280,7 @@ void SocketServer::serve_connection(std::shared_ptr<Connection> connection) {
     }
     if (discarding) buffer.clear();
   }
-  connection->close();
+  connection->finish();
 }
 
 Client::~Client() { close(); }

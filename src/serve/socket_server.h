@@ -11,6 +11,12 @@
 //   * one reader thread per connection, replies serialized per
 //     connection by a write mutex — daemon workers fan replies out
 //     concurrently and interleaved lines would corrupt the stream;
+//   * writing a reply never blocks: what the socket does not take at once
+//     is buffered and flushed by the reader thread as the client reads,
+//     so a client that pipelines requests before reading any reply
+//     cannot deadlock its connection, and a slow reader never holds a
+//     daemon worker. A client that leaves more than 64 MiB of replies
+//     unread is disconnected;
 //   * a hard cap on request-line length: a client streaming an unbounded
 //     line (hostile or broken) gets one typed "parse" reply and the
 //     oversized line is discarded, without the server ever buffering it;

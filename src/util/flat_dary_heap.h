@@ -11,9 +11,7 @@
 // per-level scan inside a single cache line of keys.
 //
 // Used by the cohort event simulator for its per-stream exhaustion
-// thresholds (threshold[] / cohort[]), alongside util::IndexedMinHeap
-// (which solves the different problem of decrease-key over a fixed slot
-// set). Not thread-safe.
+// thresholds (threshold[] / cohort[]). Not thread-safe.
 #pragma once
 
 #include <cstddef>

@@ -116,6 +116,14 @@ TEST(CpuSimulator, DeterministicAcrossInstances) {
   const AppSkeleton app = streaming_app(1 << 20, 1.0);
   for (int i = 0; i < 5; ++i)
     EXPECT_DOUBLE_EQ(a.run_app_seconds(app), b.run_app_seconds(app));
+
+  // A measurement is bitwise the mean of as many single runs drawn from a
+  // same-seed instance: computing the expected time once per measurement
+  // changes no draw.
+  CpuSimulator measured(e5405(), 9), single(e5405(), 9);
+  double sum = 0.0;
+  for (int i = 0; i < 10; ++i) sum += single.run_app_seconds(app);
+  EXPECT_EQ(measured.measure_app_seconds(app, 10), sum / 10);
 }
 
 }  // namespace

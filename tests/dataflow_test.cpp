@@ -194,6 +194,12 @@ struct TableOneVolume {
   double output_mb;
 };
 
+// Without this, gtest puts the struct's raw bytes, the workload pointer
+// included, into the test name, which then moves with the load address.
+void PrintTo(const TableOneVolume& v, std::ostream* os) {
+  *os << v.input_mb << " MB in, " << v.output_mb << " MB out";
+}
+
 class TransferVolumes : public ::testing::TestWithParam<TableOneVolume> {};
 
 TEST_P(TransferVolumes, MatchTableOne) {

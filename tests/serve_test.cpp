@@ -6,8 +6,9 @@
 // its queue on clean shutdown.
 //
 // Most tests drive the daemon through a stub job function so the
-// scheduling semantics are tested in microseconds; two smoke tests run
-// the real projection pipeline and the real socket transport end to end.
+// scheduling semantics are tested in microseconds; the reply-memo tests
+// and two smoke tests run the real projection pipeline (the only one the
+// memo serves), and one runs the real socket transport end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,10 +22,12 @@
 #include <vector>
 
 #include "core/report.h"
+#include "exec/sweep_request.h"
 #include "faults/fault_injector.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
 #include "serve/socket_server.h"
+#include "util/contracts.h"
 #include "util/error.h"
 #include "util/jsonl.h"
 
@@ -223,6 +226,24 @@ TEST(ServeProtocol, ProjectionReplyIsAPureFunctionOfItsInputs) {
   const ProjectionReport report = stub_report(spec);
   EXPECT_EQ(projection_reply("a", report, 1), projection_reply("a", report, 1));
   EXPECT_NE(projection_reply("a", report, 1), projection_reply("b", report, 1));
+}
+
+/// Ids that need JSON escaping: a quote, a backslash, control bytes and
+/// non-ASCII UTF-8, plus the empty id.
+const std::vector<std::string> kAwkwardIds = {
+    "plain", "say \"hi\"", "back\\slash", "tab\tnew\nline\x01",
+    "caf\xc3\xa9 \xe2\x9c\x93", ""};
+
+TEST(ServeProtocol, ReplyBodyReIdsToTheSameBytes) {
+  const ProjectionReport report = stub_report(JobSpec{"CFD", "97K", 4, ""});
+  const std::string body =
+      reply_body(projection_reply("first", report, 1));
+  for (const std::string& id : kAwkwardIds) {
+    const std::string reply = projection_reply(id, report, 1);
+    EXPECT_EQ(reply_body(reply), body) << id;
+    EXPECT_EQ(reply_with_id(id, body), reply) << id;
+  }
+  EXPECT_THROW(reply_body("not a reply"), ContractViolation);
 }
 
 TEST(ServeProtocol, OverloadedReplyCarriesTheRetryHint) {
@@ -585,7 +606,9 @@ TEST(ServeDaemon, AbortingShutdownStillAnswersEveryQueuedRequest) {
     daemon.handle_line(
         project_line("a" + std::to_string(i), "CFD", "97K", 0.0, i + 1),
         bin.slot());
-  while (daemon.stats().queue_depth < 7)
+  // Wait until the worker has claimed the first job (all 8 are queued
+  // until it does), so exactly 7 are left in the queue.
+  while (daemon.stats().queue_depth != 7)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // Abort while the worker is still gated: the 7 queued jobs must be
   // answered "overloaded" *before* shutdown waits on the worker.
@@ -754,88 +777,136 @@ TEST(ServeEndToEnd, RealPipelineServesAProjection) {
   EXPECT_GE(stats.calibration_hits + stats.calibration_misses, 1u);
 }
 
-// --- the surrogate fast tier, end to end through the daemon ---
+// --- reply memo (real pipeline) ---
 
-TEST(ServeSurrogate, WarmRepeatsAreServedFromTheSurrogateTier) {
-  DaemonOptions options;
-  options.workers = 2;
-  options.projection.surrogate.enabled = true;
-  options.projection.surrogate.min_train_points = 6;
-  options.projection.surrogate.refit_interval = 4;
-  Daemon daemon(std::move(options));
-  daemon.start();
-
-  // Phase 1: novel traffic runs the exact pipeline (tier "exact") and
-  // self-distills into the training pool.
-  const int iters[] = {1, 2, 4, 8, 16, 32};
-  for (const int n : iters) {
-    const std::string reply = daemon.handle(
-        project_line("novel-" + std::to_string(n), "CFD", "97K", 0.0, n));
-    EXPECT_EQ(field(reply, "status"), "ok") << reply;
-    EXPECT_EQ(field(reply, "tier"), "exact") << reply;
-  }
-  // The background refit must land without any serving-path involvement.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (daemon.stats().surrogate_refits == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_GE(daemon.stats().surrogate_refits, 1u);
-
-  // Phase 2: the same queries are answered by the surrogate, with the
-  // error bound on the wire, without touching a worker.
-  const DaemonStats before = daemon.stats();
-  for (const int n : iters) {
-    const std::string reply = daemon.handle(
-        project_line("warm-" + std::to_string(n), "CFD", "97K", 0.0, n));
-    EXPECT_EQ(field(reply, "status"), "ok") << reply;
-    EXPECT_EQ(field(reply, "tier"), "surrogate") << reply;
-    const auto object = util::parse_flat_json(reply);
-    ASSERT_TRUE(object.has_value());
-    EXPECT_GT(util::json_number(*object, "rel_error_bound").value_or(-1), 0.0);
-    EXPECT_GT(util::json_number(*object, "predicted_kernel_s").value_or(0), 0);
-    EXPECT_GT(util::json_number(*object, "predicted_speedup").value_or(0), 0);
-  }
-  EXPECT_EQ(daemon.stats().executed, before.executed);  // no worker ran
-
-  // The tier's counters are on the stats wire, and served replies count
-  // in `ok` so the accounting identity still holds.
-  const std::string stats_line = daemon.handle(R"({"id":"s","type":"stats"})");
-  const auto object = util::parse_flat_json(stats_line);
-  ASSERT_TRUE(object.has_value());
-  EXPECT_GE(util::json_number(*object, "surrogate_served").value_or(0), 6.0);
-  EXPECT_GE(util::json_number(*object, "surrogate_pool").value_or(0), 6.0);
-  EXPECT_GE(util::json_number(*object, "surrogate_refits").value_or(0), 1.0);
-  daemon.shutdown();
-  const DaemonStats after = daemon.stats();
-  EXPECT_GE(after.surrogate_served, 6u);
-  EXPECT_EQ(after.ok, 12u);  // surrogate-served replies count in ok
+/// The canonical pipeline a daemon with these options runs, built
+/// outside any daemon: the fresh computation memo hits must match.
+exec::SweepEngine::JobFn fresh_job_fn(const DaemonOptions& options) {
+  return exec::SweepRequest::on(options.machine)
+      .seed(options.base_seed)
+      .job_fn();
 }
 
-TEST(ServeSurrogate, FallbackRepliesAreByteIdenticalToADisabledDaemon) {
-  // A gate high enough that nothing is ever served by the surrogate: the
-  // fallback path must be indistinguishable on the wire from a daemon
-  // with the tier disabled.
-  DaemonOptions gated;
-  gated.workers = 1;
-  gated.projection.surrogate.enabled = true;
-  gated.projection.surrogate.min_train_points = 64;
-  DaemonOptions disabled;
-  disabled.workers = 1;
-  Daemon gated_daemon(std::move(gated));
-  Daemon plain_daemon(std::move(disabled));
-  gated_daemon.start();
-  plain_daemon.start();
+TEST(ServeDaemon, MemoHitsAreByteIdenticalToAFreshComputation) {
+  DaemonOptions options;
+  options.workers = 1;
+  options.base_seed = 7;
+  const JobSpec spec{"CFD", "97K", 3, ""};
+  const ProjectionReport fresh = fresh_job_fn(options)(spec);
+  Daemon daemon(options);
+  daemon.start();
 
-  for (const int n : {1, 3, 7}) {
-    const std::string line =
-        project_line("cmp-" + std::to_string(n), "CFD", "97K", 0.0, n);
-    EXPECT_EQ(gated_daemon.handle(line), plain_daemon.handle(line)) << line;
+  EXPECT_EQ(daemon.handle(project_line("fill", "CFD", "97K", 0.0, 3)),
+            projection_reply("fill", fresh, 1));
+  EXPECT_EQ(daemon.stats().memo_entries, 1u);
+  for (const std::string& id : kAwkwardIds)
+    EXPECT_EQ(daemon.handle(project_line(id, "CFD", "97K", 0.0, 3)),
+              projection_reply(id, fresh, 1))
+        << id;
+
+  daemon.shutdown();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.memo_hits, kAwkwardIds.size());
+  EXPECT_EQ(stats.ok, kAwkwardIds.size() + 1);
+}
+
+TEST(ServeDaemon, MemoStopsGrowingAtItsBound) {
+  constexpr int kSpecs = static_cast<int>(Daemon::kMemoCapacity) + 8;
+  DaemonOptions options;
+  options.workers = 1;
+  const exec::SweepEngine::JobFn fresh = fresh_job_fn(options);
+  std::vector<ProjectionReport> expected;
+  for (int n = 1; n <= kSpecs; ++n)
+    expected.push_back(fresh(JobSpec{"CFD", "97K", n, ""}));
+  Daemon daemon(options);
+  daemon.start();
+
+  // Two passes over kSpecs distinct iteration counts: the first fills
+  // the memo up to its bound and no further; in the second the memoized
+  // specs are hits and the rest run again. Every reply is the fresh one.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int n = 1; n <= kSpecs; ++n) {
+      const std::string id = std::to_string(pass) + "/" + std::to_string(n);
+      ASSERT_EQ(daemon.handle(project_line(id, "CFD", "97K", 0.0, n)),
+                projection_reply(id, expected[n - 1], 1));
+    }
+    EXPECT_EQ(daemon.stats().memo_entries, Daemon::kMemoCapacity);
   }
-  gated_daemon.shutdown();
-  plain_daemon.shutdown();
-  EXPECT_EQ(gated_daemon.stats().surrogate_served, 0u);
-  EXPECT_GE(gated_daemon.stats().surrogate_fallbacks, 3u);
+
+  daemon.shutdown();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.memo_hits, Daemon::kMemoCapacity);
+  EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kSpecs) + 8);
+  EXPECT_EQ(stats.ok, 2u * kSpecs);
+}
+
+TEST(ServeDaemon, CustomJobFnRepeatsAreAlwaysExecuted) {
+  std::atomic<int> calls{0};
+  Daemon daemon(stub_options([&calls](const JobSpec& spec) {
+    ++calls;
+    return stub_report(spec);
+  }));
+  daemon.start();
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(field(daemon.handle(project_line(std::to_string(i), "CFD",
+                                               "97K")),
+                    "status"),
+              "ok");
+  daemon.shutdown();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(calls.load(), 5);
+  EXPECT_EQ(stats.executed, 5u);
+  EXPECT_EQ(stats.memo_hits, 0u);
+  EXPECT_EQ(stats.memo_entries, 0u);
+}
+
+TEST(ServeDaemon, ConcurrentRepeatsKeepTheSumRule) {
+  DaemonOptions options;
+  options.workers = 2;
+  const exec::SweepEngine::JobFn fresh = fresh_job_fn(options);
+  const std::vector<JobSpec> specs = {{"CFD", "97K", 1, ""},
+                                      {"CFD", "97K", 2, ""},
+                                      {"SRAD", "2048 x 2048", 1, ""},
+                                      {"HotSpot", "512 x 512", 4, ""}};
+  std::vector<ProjectionReport> expected;
+  for (const JobSpec& spec : specs) expected.push_back(fresh(spec));
+  Daemon daemon(options);
+  daemon.start();
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 40;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t k = static_cast<std::size_t>(c + i) % specs.size();
+        const std::string id = std::to_string(c) + "." + std::to_string(i);
+        const JobSpec& spec = specs[k];
+        if (daemon.handle(project_line(id, spec.workload, spec.size_label,
+                                       0.0, spec.iterations)) !=
+            projection_reply(id, expected[k], 1))
+          ++mismatches;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  daemon.shutdown();
+  const DaemonStats stats = daemon.stats();
+  constexpr std::uint64_t kRequests = kThreads * kPerThread;
+  EXPECT_EQ(stats.received, kRequests);
+  EXPECT_EQ(stats.replies, kRequests);
+  EXPECT_EQ(stats.ok + stats.timeouts + stats.shed + stats.failed +
+                stats.parse_errors + stats.usage_errors,
+            stats.replies);
+  EXPECT_EQ(stats.ok, kRequests);  // memo hits count in ok
+  EXPECT_EQ(stats.executed + stats.coalesce_hits + stats.memo_hits,
+            kRequests);
+  EXPECT_GT(stats.memo_hits, 0u);
+  EXPECT_EQ(stats.memo_entries, specs.size());
 }
 
 TEST(ServeEndToEnd, SocketTransportRoundTripsRequestsAndSurvivesGarbage) {
@@ -876,6 +947,45 @@ TEST(ServeEndToEnd, SocketTransportRoundTripsRequestsAndSurvivesGarbage) {
 
   server.stop();
   daemon.shutdown();
+}
+
+TEST(ServeEndToEnd, PipelinedRequestsWithoutReadingNeverDeadlock) {
+  // A client sends its whole pipeline before reading one reply. The
+  // replies are inline (answered on the connection's reader thread) and
+  // far exceed the socket buffers, so a reader that blocked on a full
+  // reply buffer would stop draining the requests the client is blocked
+  // sending, and neither side would move again.
+  Daemon daemon(stub_options([](const JobSpec& spec) {
+    return stub_report(spec);
+  }));
+  daemon.start();
+  const std::string socket_path =
+      "/tmp/grophecy_serve_pipeline_" + std::to_string(::getpid()) + ".sock";
+  SocketServer server(daemon, {.socket_path = socket_path});
+  server.start();
+
+  constexpr int kRequests = 4000;
+  std::atomic<int> replies{0};
+  std::thread client_thread([&] {
+    Client client;
+    if (!client.connect(socket_path)) return;
+    for (int i = 0; i < kRequests; ++i)
+      if (!client.send_line(R"({"id":"p","type":"ping"})")) return;
+    std::string reply;
+    while (replies.load() < kRequests && client.recv_line(&reply))
+      ++replies;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (replies.load() < kRequests &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(replies.load(), kRequests);
+
+  server.stop();  // also releases a client stuck in send or recv
+  client_thread.join();
+  daemon.shutdown();
+  EXPECT_EQ(daemon.stats().received, daemon.stats().replies);
 }
 
 }  // namespace

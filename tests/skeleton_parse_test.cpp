@@ -138,6 +138,12 @@ struct BadDoc {
   const char* needle;
 };
 
+// Without this, gtest puts the struct's raw bytes, pointers included,
+// into the test name, which then moves with the load address.
+void PrintTo(const BadDoc& doc, std::ostream* os) {
+  *os << "line " << doc.line << ": " << doc.needle;
+}
+
 class ParseErrors : public ::testing::TestWithParam<BadDoc> {};
 
 TEST_P(ParseErrors, ReportsLineAndMessage) {

@@ -3,14 +3,11 @@
 // tables, CSV quoting, and contract checking.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "util/contracts.h"
 #include "util/csv.h"
-#include "util/indexed_heap.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -351,57 +348,6 @@ TEST(Contracts, ViolationMessageNamesLocation) {
     EXPECT_NE(std::string(e.what()).find("precondition"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
-}
-
-TEST(IndexedMinHeap, StartsAtInfinityAndTracksUpdates) {
-  IndexedMinHeap heap;
-  heap.reset(4);
-  EXPECT_EQ(heap.size(), 4u);
-  EXPECT_TRUE(std::isinf(heap.top_key()));
-
-  heap.update(2, 5.0);
-  EXPECT_EQ(heap.top(), 2u);
-  heap.update(0, 1.0);
-  EXPECT_EQ(heap.top(), 0u);
-  EXPECT_DOUBLE_EQ(heap.top_key(), 1.0);
-  heap.update(0, 9.0);  // increase-key resifts down
-  EXPECT_EQ(heap.top(), 2u);
-  heap.update(2, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(heap.top(), 0u);
-  EXPECT_DOUBLE_EQ(heap.key(0), 9.0);
-  EXPECT_DOUBLE_EQ(heap.key(3),
-                   std::numeric_limits<double>::infinity());
-}
-
-TEST(IndexedMinHeap, RandomizedUpdatesMatchLinearScan) {
-  constexpr std::size_t kSlots = 17;
-  IndexedMinHeap heap;
-  heap.reset(kSlots);
-  std::vector<double> mirror(kSlots,
-                             std::numeric_limits<double>::infinity());
-  Rng rng(77);
-  for (int step = 0; step < 2000; ++step) {
-    const auto slot = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(kSlots) - 1));
-    const double key = rng.bernoulli(0.1)
-                           ? std::numeric_limits<double>::infinity()
-                           : rng.uniform(0.0, 1000.0);
-    heap.update(slot, key);
-    mirror[slot] = key;
-    const double expected_min =
-        *std::min_element(mirror.begin(), mirror.end());
-    EXPECT_EQ(heap.top_key(), expected_min) << "step " << step;
-  }
-}
-
-TEST(IndexedMinHeap, ResetReinitializesEverySlot) {
-  IndexedMinHeap heap;
-  heap.reset(3);
-  heap.update(1, 2.0);
-  heap.reset(2);
-  EXPECT_EQ(heap.size(), 2u);
-  EXPECT_TRUE(std::isinf(heap.key(0)));
-  EXPECT_TRUE(std::isinf(heap.key(1)));
 }
 
 }  // namespace

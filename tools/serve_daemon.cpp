@@ -5,13 +5,6 @@
 //   serve_daemon --socket /tmp/grophecy.sock [--workers N]
 //                [--queue-depth N] [--default-deadline-ms D]
 //                [--max-deadline-ms D] [--max-retries N] [--seed S]
-//                [--surrogate] [--surrogate-max-rel-error E]
-//                [--surrogate-min-train-points N]
-//
-// --surrogate enables the learned fast tier (docs/performance.md,
-// "Surrogate fast tier"): confident repeat queries are answered inline
-// with tier:"surrogate" and an error bound; everything else runs the
-// exact pipeline and feeds the training pool.
 //
 // Runs until a client sends {"type":"shutdown"} or the process receives
 // SIGINT/SIGTERM; either way the daemon drains before exiting.
@@ -39,9 +32,7 @@ void handle_signal(int) { g_signal_quit = 1; }
   std::fprintf(stderr,
                "usage: %s --socket PATH [--workers N] [--queue-depth N]\n"
                "          [--default-deadline-ms D] [--max-deadline-ms D]\n"
-               "          [--max-retries N] [--seed S] [--surrogate]\n"
-               "          [--surrogate-max-rel-error E]\n"
-               "          [--surrogate-min-train-points N]\n",
+               "          [--max-retries N] [--seed S]\n",
                argv0);
   std::exit(2);
 }
@@ -92,16 +83,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--seed" && value) {
       options.base_seed =
           static_cast<std::uint64_t>(parse_long(argv[0], value));
-      ++i;
-    } else if (flag == "--surrogate") {
-      options.projection.surrogate.enabled = true;
-    } else if (flag == "--surrogate-max-rel-error" && value) {
-      options.projection.surrogate.max_rel_error =
-          parse_double(argv[0], value);
-      ++i;
-    } else if (flag == "--surrogate-min-train-points" && value) {
-      options.projection.surrogate.min_train_points =
-          static_cast<int>(parse_long(argv[0], value));
       ++i;
     } else {
       usage(argv[0]);
