@@ -6,8 +6,9 @@
 #                                  AddressSanitizer + UBSan (asan-ubsan preset)
 #   scripts/verify.sh --tsan       additionally build under ThreadSanitizer
 #                                  and run the concurrency-sensitive suites
-#                                  (sweep engine, determinism, journal,
-#                                  calibration cache, serve daemon)
+#                                  (sweep engine and its attempt runner,
+#                                  determinism, journal, calibration and
+#                                  artifact caches, serve daemon, shards)
 #   scripts/verify.sh --bench      additionally run every built micro_*
 #                                  benchmark (plus cross_machine_report)
 #                                  and gate each against its checked-in
@@ -22,6 +23,10 @@
 #                                  smoke: a 4-shard run byte-compared
 #                                  against an in-process run, plus a full
 #                                  resume check (scripts/shard_smoke.sh)
+#   scripts/verify.sh --e2ebench   additionally build the end-to-end
+#                                  benchmark against src/'s public API and
+#                                  run its self-tests
+#                                  (e2ebench/test_e2ebench.py)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,7 +64,7 @@ for arg in "$@"; do
       # TSan slows everything ~10x; focus it on the code that actually
       # shares state across threads (ctest names are GTest suite.test).
       run_preset tsan --no-tests=error -R \
-        '^(SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|CalibrationCache|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos)\.'
+        '^(SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos)\.'
       ;;
     --bench)
       # Discover the benches from the built binaries instead of a
@@ -109,6 +114,10 @@ for arg in "$@"; do
         -R '^(ShardChaos|ShardSupervisor|JournalProcessDeath)\.'
       echo "=== verify: shard smoke (sweep_shard byte-compare + resume) ==="
       scripts/shard_smoke.sh build
+      ;;
+    --e2ebench)
+      echo "=== verify: e2ebench self-tests (e2ebench/test_e2ebench.py) ==="
+      python3 e2ebench/test_e2ebench.py
       ;;
     *)
       echo "unknown option: ${arg}" >&2

@@ -19,21 +19,14 @@ namespace grophecy::core {
 
 namespace {
 
-/// Derives decorrelated seeds for the pipeline's stochastic components.
-struct Seeds {
-  std::uint64_t calibration_bus;
-  std::uint64_t measurement_bus;
-  std::uint64_t gpu;
-  std::uint64_t cpu;
-};
+/// Decorrelated seeds for the pipeline's stochastic components.
+enum Stream { kCalibrationBus, kMeasurementBus, kGpu, kCpu, kStreams };
+using Seeds = std::array<std::uint64_t, kStreams>;
 
 Seeds derive_seeds(std::uint64_t master) {
   util::Rng rng(master);
   Seeds seeds{};
-  seeds.calibration_bus = rng.next_u64();
-  seeds.measurement_bus = rng.next_u64();
-  seeds.gpu = rng.next_u64();
-  seeds.cpu = rng.next_u64();
+  for (std::uint64_t& seed : seeds) seed = rng.next_u64();
   return seeds;
 }
 
@@ -49,10 +42,29 @@ pcie::CalibrationReport calibrate(const hw::MachineSpec& machine,
     pcie::TransferCalibrator calibrator(options.calibration);
     return calibrator.calibrate_robust(bus, options.memory, &machine.pcie);
   };
-  if (!options.use_calibration_cache) return measure();
-  const std::string key = pcie::calibration_cache_key(
-      machine.pcie, options.calibration, options.memory, seed);
-  return pcie::CalibrationCache::instance().get_or_calibrate(key, measure);
+  if (!options.use_artifact_caches) return measure();
+  pcie::CalibrationCache& cache = pcie::CalibrationCache::instance();
+  bool from_cache = false;
+  pcie::CalibrationReport report = *cache.get_or_build(
+      pcie::calibration_cache_key(machine.pcie, options.calibration,
+                                  options.memory, seed),
+      measure, &from_cache);
+  // The cached entry holds the measurement as made; this engine's copy
+  // records where it came from.
+  const pcie::CalibrationCache::Stats stats = cache.stats();
+  report.from_cache = from_cache;
+  report.cache_hits = stats.hits;
+  report.cache_misses = stats.misses;
+  return report;
+}
+
+std::unique_ptr<sim::KernelTimer> make_kernel_timer(
+    const hw::GpuSpec& gpu, const ProjectionOptions& options,
+    std::uint64_t seed) {
+  if (options.detailed_sim)
+    return std::make_unique<sim::EventGpuSimulator>(gpu, seed,
+                                                    options.event_sim);
+  return std::make_unique<sim::GpuSimulator>(gpu, seed);
 }
 
 /// Pass-through used in the constructor initializer list so invalid
@@ -107,19 +119,20 @@ void ProjectionOptions::validate() const {
 }
 
 Grophecy::Grophecy(hw::MachineSpec machine, ProjectionOptions options)
+    : Grophecy(std::move(machine), std::move(options),
+               derive_seeds(options.seed)) {}
+
+Grophecy::Grophecy(hw::MachineSpec&& machine, ProjectionOptions&& options,
+                   const Seeds& seeds)
     : machine_(std::move(machine)),
       options_(validated(std::move(options))),
-      measurement_bus_(machine_.pcie,
-                       derive_seeds(options_.seed).measurement_bus),
+      measurement_bus_(machine_.pcie, seeds[kMeasurementBus]),
       calibration_report_(calibrate(
           machine_, options_,
-          options_.calibration_seed.value_or(
-              derive_seeds(options_.seed).calibration_bus))),
+          options_.calibration_seed.value_or(seeds[kCalibrationBus]))),
       explorer_(machine_.gpu, options_.explorer),
-      gpu_sim_(machine_.gpu, derive_seeds(options_.seed).gpu),
-      event_sim_(machine_.gpu, derive_seeds(options_.seed).gpu,
-                 options_.event_sim),
-      cpu_sim_(machine_.cpu, derive_seeds(options_.seed).cpu) {
+      kernel_timer_(make_kernel_timer(machine_.gpu, options_, seeds[kGpu])),
+      cpu_sim_(machine_.cpu, seeds[kCpu]) {
   if (options_.measurement_noise)
     measurement_bus_.set_noise(*options_.measurement_noise);
   GROPHECY_LOG(kInfo) << "calibrated " << machine_.name << ": H2D "
@@ -217,14 +230,8 @@ ProjectionReport Grophecy::project_impl(
     result.projected = std::move(best);
     result.launches = best_launches;
     result.predicted_s = best_total;
-    const double per_launch =
-        options_.detailed_sim
-            ? event_sim_.measure_launch_seconds(
-                  result.projected.characteristics,
-                  options_.measurement_runs)
-            : gpu_sim_.measure_launch_seconds(
-                  result.projected.characteristics,
-                  options_.measurement_runs);
+    const double per_launch = kernel_timer_->measure_launch_seconds(
+        result.projected.characteristics, options_.measurement_runs);
     result.measured_s = per_launch * static_cast<double>(best_launches);
     report.predicted_kernel_s += result.predicted_s;
     report.measured_kernel_s += result.measured_s;

@@ -18,6 +18,9 @@
 // everything above it would not change (see DESIGN.md).
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "core/report.h"
@@ -54,19 +57,17 @@ struct ProjectionOptions {
   /// Engine selection and tuning for the detailed simulator (cohort fast
   /// path by default; SimEngine::kReference restores the original loop).
   sim::EventSimOptions event_sim;
-  /// Serve calibration from the process-wide pcie::CalibrationCache: one
-  /// synthetic-benchmark run per (machine, calibration options, memory
-  /// mode, calibration seed) per process, as the paper intends ("invoked
-  /// when run on a new system", §III-C). Results are identical either way;
-  /// only repeated measurement work is skipped.
-  bool use_calibration_cache = true;
-  /// Serve built skeletons and usage-analysis artifacts from the
-  /// process-wide artifact caches (util/artifact_cache.h): the transfer
-  /// plan is keyed by the skeleton's content fingerprint WITHOUT the
-  /// iteration count (plans are iteration independent, §III-B), so
-  /// iteration sweeps analyze each data size once. Content-addressed keys
-  /// make results identical either way; only repeated analysis work is
-  /// skipped. See docs/performance.md, "Artifact caches".
+  /// Serve calibration, built skeletons and usage-analysis artifacts from
+  /// the process-wide artifact caches (util/artifact_cache.h). Calibration
+  /// runs once per (machine, calibration options, memory mode, calibration
+  /// seed) per process, as the paper intends ("invoked when run on a new
+  /// system", §III-C); the transfer plan is keyed by the skeleton's
+  /// content fingerprint WITHOUT the iteration count (plans are iteration
+  /// independent, §III-B), so iteration sweeps analyze each data size
+  /// once. Content-addressed keys make results identical either way; only
+  /// repeated work is skipped. Off, the engine computes everything itself
+  /// and touches no process-wide cache. See docs/performance.md,
+  /// "Artifact caches".
   bool use_artifact_caches = true;
   /// Seed for the calibration bus stream. Unset (the default) derives it
   /// from `seed` as before. Sweeps that give every job its own master seed
@@ -113,6 +114,11 @@ class Grophecy {
   const ProjectionOptions& options() const { return options_; }
 
  private:
+  /// The public constructor delegates here with the seeds of the four
+  /// stochastic streams, derived once from options.seed.
+  Grophecy(hw::MachineSpec&& machine, ProjectionOptions&& options,
+           const std::array<std::uint64_t, 4>& seeds);
+
   ProjectionReport project_impl(const skeleton::AppSkeleton& app,
                                 std::optional<std::uint64_t> usage_key);
 
@@ -121,8 +127,9 @@ class Grophecy {
   pcie::SimulatedBus measurement_bus_;
   pcie::CalibrationReport calibration_report_;
   gpumodel::Explorer explorer_;
-  sim::GpuSimulator gpu_sim_;
-  sim::EventGpuSimulator event_sim_;
+  /// The simulator ProjectionOptions::detailed_sim selects: the
+  /// discrete-event one, or the wave-based one.
+  std::unique_ptr<sim::KernelTimer> kernel_timer_;
   cpumodel::CpuSimulator cpu_sim_;
 };
 

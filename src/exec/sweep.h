@@ -50,7 +50,9 @@
 // through.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -315,25 +317,71 @@ struct SweepSummary {
   std::string describe() const;
 };
 
+/// Maps a spec to its projection; may throw anything.
+using JobFn = std::function<core::ProjectionReport(const JobSpec&)>;
+
+/// One attempt at a job: its projection, or why there is none.
+struct AttemptResult {
+  std::optional<core::ProjectionReport> report;
+  JobError error;  ///< Meaningful when report is empty.
+};
+
+/// The supervised attempt SweepEngine and serve::Daemon share. With an
+/// infinite deadline the job runs inline, with no thread and no lock.
+/// Otherwise it runs on its own thread while the caller waits out the
+/// deadline; a late attempt is *abandoned* (it keeps running, its result
+/// is discarded) and its thread joined by a later supervised attempt once
+/// it finished, or by join_strays() and the destructor. So an abandoned
+/// job must terminate eventually (simulated hangs do; a truly infinite
+/// loop would block teardown — isolate such jobs in processes) and may
+/// only touch state that is safe to race with a later attempt.
+/// Thread-safe.
+class AttemptRunner {
+ public:
+  AttemptRunner() = default;
+  ~AttemptRunner() { join_strays(); }
+
+  AttemptRunner(const AttemptRunner&) = delete;
+  AttemptRunner& operator=(const AttemptRunner&) = delete;
+
+  /// Runs fn(spec) once; never throws. A failure is classified by
+  /// classify_current_exception, a late attempt is a retryable kTimeout.
+  AttemptResult run(const JobSpec& spec, const JobFn& fn, double deadline_s);
+
+  /// Blocks until every abandoned attempt has finished and joins it.
+  void join_strays() { join(/*finished_only=*/false); }
+
+  /// Attempts abandoned so far.
+  std::uint64_t abandoned() const;
+  /// Abandoned attempts whose thread is not joined yet.
+  std::size_t strays() const;
+
+ private:
+  struct Stray {
+    std::thread thread;
+    std::future<core::ProjectionReport> done;
+  };
+
+  void join(bool finished_only);
+
+  mutable std::mutex mutex_;
+  std::vector<Stray> strays_;
+  std::uint64_t abandoned_ = 0;
+};
+
 /// Runs batches of projection jobs with fault isolation, deadlines,
 /// retries, crash-safe journaling, and a deterministic worker pool.
 ///
 /// The job function maps a spec to its projection; it may throw anything.
 /// With workers > 1 it is called concurrently from pool threads and must
-/// be thread-safe. With a finite deadline each attempt runs on a
-/// supervised thread, and a timed-out attempt's thread is *abandoned* (it
-/// keeps running; its result is discarded) — such job functions must only
-/// touch state that is safe to race with a subsequent attempt, or be
-/// pure. Abandoned threads are joined in the engine destructor, so they
-/// must terminate eventually (simulated hangs do; a truly infinite loop
-/// would block teardown — real deployments should isolate such jobs in
-/// processes, not threads).
+/// be thread-safe. With a finite deadline each attempt is supervised by
+/// an AttemptRunner, whose abandonment contract the job function must
+/// meet.
 class SweepEngine {
  public:
-  using JobFn = std::function<core::ProjectionReport(const JobSpec&)>;
+  using JobFn = exec::JobFn;
 
   explicit SweepEngine(SweepOptions options = {});
-  ~SweepEngine();
 
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
@@ -361,12 +409,6 @@ class SweepEngine {
   JobOutcome execute_job(const JobSpec& spec, const JobFn& fn);
 
  private:
-  struct AttemptResult {
-    std::optional<core::ProjectionReport> report;
-    JobError error;  ///< Meaningful when report is empty.
-  };
-
-  AttemptResult run_attempt(const JobSpec& spec, const JobFn& fn);
   /// run() after duplicate fingerprints have been filtered out.
   SweepSummary run_unique(const std::vector<JobSpec>& jobs, const JobFn& fn);
   /// run_unique for shards > 0: forks workers, supervises them, merges
@@ -374,8 +416,7 @@ class SweepEngine {
   SweepSummary run_sharded(const std::vector<JobSpec>& jobs, const JobFn& fn);
 
   SweepOptions options_;
-  std::mutex abandoned_mutex_;          ///< Guards abandoned_ across workers.
-  std::vector<std::thread> abandoned_;  ///< Timed-out attempt threads.
+  AttemptRunner attempts_;
 };
 
 }  // namespace grophecy::exec

@@ -107,24 +107,9 @@ void SweepOptions::validate() const {
           util::strfmt("must be >= 1, got %d", poison_kill_threshold));
 }
 
-SweepEngine::SweepEngine(SweepOptions options) : options_(std::move(options)) {
-  options_.validate();
-}
-
-SweepEngine::~SweepEngine() {
-  for (std::thread& thread : abandoned_)
-    if (thread.joinable()) thread.join();
-}
-
-int SweepEngine::effective_workers() const {
-  if (options_.workers > 0) return options_.workers;
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware > 0 ? static_cast<int>(hardware) : 1;
-}
-
-SweepEngine::AttemptResult SweepEngine::run_attempt(const JobSpec& spec,
-                                                    const JobFn& fn) {
-  if (std::isinf(options_.deadline_s)) {
+AttemptResult AttemptRunner::run(const JobSpec& spec, const JobFn& fn,
+                                 double deadline_s) {
+  if (std::isinf(deadline_s)) {
     // No watchdog: run inline, call-for-call identical to the bare loop.
     try {
       return {fn(spec), {}};
@@ -133,34 +118,74 @@ SweepEngine::AttemptResult SweepEngine::run_attempt(const JobSpec& spec,
     }
   }
 
-  // Supervised attempt: the job runs on a worker thread while this thread
-  // watches the clock. The task copies fn and spec so an abandoned worker
+  join(/*finished_only=*/true);
+  // Supervised attempt: the job runs on its own thread while this thread
+  // watches the clock. The task copies fn and spec so an abandoned thread
   // never dereferences caller stack frames after run() returns.
   std::packaged_task<core::ProjectionReport()> task(
       [fn, spec] { return fn(spec); });
   std::future<core::ProjectionReport> future = task.get_future();
-  std::thread worker(std::move(task));
-  const auto deadline = std::chrono::duration<double>(options_.deadline_s);
-  if (future.wait_for(deadline) != std::future_status::ready) {
+  std::thread thread(std::move(task));
+  if (future.wait_for(std::chrono::duration<double>(deadline_s)) !=
+      std::future_status::ready) {
     {
-      std::lock_guard<std::mutex> lock(abandoned_mutex_);
-      abandoned_.push_back(std::move(worker));
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++abandoned_;
+      strays_.push_back({std::move(thread), std::move(future)});
     }
-    JobError error;
-    error.kind = ErrorKind::kTimeout;
-    error.timed_out = true;
-    error.retryable = true;
-    error.message = util::strfmt(
-        "job %s exceeded the %.3gs deadline; attempt abandoned",
-        spec.key().c_str(), options_.deadline_s);
-    return {std::nullopt, error};
+    return {std::nullopt,
+            {.kind = ErrorKind::kTimeout,
+             .message = util::strfmt(
+                 "job %s exceeded the %.3gs deadline; attempt abandoned",
+                 spec.key().c_str(), deadline_s),
+             .timed_out = true,
+             .retryable = true}};
   }
-  worker.join();
+  thread.join();
   try {
     return {future.get(), {}};
   } catch (...) {
     return {std::nullopt, classify_current_exception()};
   }
+}
+
+void AttemptRunner::join(bool finished_only) {
+  std::vector<std::thread> threads;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = strays_.begin(); it != strays_.end();) {
+      if (finished_only && it->done.wait_for(std::chrono::seconds(0)) !=
+                               std::future_status::ready) {
+        ++it;
+        continue;
+      }
+      threads.push_back(std::move(it->thread));
+      it = strays_.erase(it);
+    }
+  }
+  // Outside the lock: a finished stray only has its thread exit left, but
+  // an unfinished one may run for a while yet.
+  for (std::thread& thread : threads) thread.join();
+}
+
+std::uint64_t AttemptRunner::abandoned() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return abandoned_;
+}
+
+std::size_t AttemptRunner::strays() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return strays_.size();
+}
+
+SweepEngine::SweepEngine(SweepOptions options) : options_(std::move(options)) {
+  options_.validate();
+}
+
+int SweepEngine::effective_workers() const {
+  if (options_.workers > 0) return options_.workers;
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware > 0 ? static_cast<int>(hardware) : 1;
 }
 
 JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
@@ -170,7 +195,7 @@ JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
   const auto start = std::chrono::steady_clock::now();
   while (true) {
     ++outcome.attempts;
-    AttemptResult attempt = run_attempt(spec, fn);
+    AttemptResult attempt = attempts_.run(spec, fn, options_.deadline_s);
     if (attempt.report) {
       outcome.status = JobStatus::kOk;
       outcome.report = std::move(attempt.report);

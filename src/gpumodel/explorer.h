@@ -19,7 +19,7 @@
 // smaller totals (the same first-of-equals tie-break as min_element).
 //
 // Memoization makes Explorer stateful: instances are NOT thread-safe.
-// Sweeps already give each worker its own engine (core/sweep.h).
+// Sweeps build one engine per job (exec::SweepRequest::job_fn).
 #pragma once
 
 #include <cstdint>

@@ -1,47 +1,10 @@
 #include "pcie/calibration_cache.h"
 
-#include <bit>
-#include <utility>
-
-#include "util/checksum.h"
-#include "util/table.h"
-
 namespace grophecy::pcie {
 
 namespace {
 
-/// Incrementally hashes heterogeneous fields into one FNV-1a state.
-/// Doubles are folded via their bit representation: the cache must
-/// distinguish any inputs the calibrator could distinguish, and the
-/// calibrator sees exact double values.
-class KeyHasher {
- public:
-  KeyHasher& field(std::uint64_t value) {
-    hash_ = util::fnv1a64_fold(hash_, value);
-    return *this;
-  }
-  KeyHasher& field(double value) {
-    return field(std::bit_cast<std::uint64_t>(value));
-  }
-  KeyHasher& field(int value) {
-    return field(static_cast<std::uint64_t>(static_cast<std::int64_t>(value)));
-  }
-  KeyHasher& field(bool value) { return field(std::uint64_t{value ? 1u : 0u}); }
-  KeyHasher& field(std::string_view value) {
-    // Length-prefixed so ("ab","c") and ("a","bc") fold differently.
-    field(static_cast<std::uint64_t>(value.size()));
-    for (char c : value)
-      hash_ = util::fnv1a64_fold(hash_, static_cast<unsigned char>(c));
-    return *this;
-  }
-
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
-void fold_profile(KeyHasher& h, const hw::PcieDirectionProfile& p) {
+void fold_profile(util::KeyBuilder& h, const hw::PcieDirectionProfile& p) {
   h.field(p.latency_s)
       .field(p.asymptotic_gbps)
       .field(p.hump_extra_s)
@@ -52,10 +15,10 @@ void fold_profile(KeyHasher& h, const hw::PcieDirectionProfile& p) {
 
 }  // namespace
 
-std::string calibration_cache_key(const hw::PcieSpec& spec,
-                                  const CalibrationOptions& options,
-                                  hw::HostMemory memory, std::uint64_t seed) {
-  KeyHasher h;
+std::uint64_t calibration_cache_key(const hw::PcieSpec& spec,
+                                    const CalibrationOptions& options,
+                                    hw::HostMemory memory, std::uint64_t seed) {
+  util::KeyBuilder h;
   // Machine side: everything SimulatedBus reads when producing samples.
   h.field(spec.name).field(spec.generation).field(spec.lanes);
   fold_profile(h, spec.pinned_h2d);
@@ -87,81 +50,12 @@ std::string calibration_cache_key(const hw::PcieSpec& spec,
   // Run side.
   h.field(static_cast<int>(memory));
   h.field(seed);
-  // Keep the machine name readable in the key for debugging; the hash
-  // carries the actual identity.
-  return util::strfmt("%s/%016llx", spec.name.c_str(),
-                      static_cast<unsigned long long>(h.hash()));
+  return h.hash();
 }
 
 CalibrationCache& CalibrationCache::instance() {
   static CalibrationCache cache;
   return cache;
-}
-
-CalibrationReport CalibrationCache::get_or_calibrate(const std::string& key,
-                                                     const Factory& factory) {
-  // The promise lives in the owning call's frame; the map only ever holds
-  // Flight handles, so concurrent misses on *different* keys are fully
-  // independent and calibrate in parallel.
-  std::promise<CalibrationReport> promise;
-  std::shared_ptr<Flight> flight;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      flight = it->second;
-    } else {
-      ++misses_;
-      owner = true;
-      flight = std::make_shared<Flight>();
-      flight->future = promise.get_future().share();
-      entries_.emplace(key, flight);
-    }
-  }
-
-  if (owner) {
-    try {
-      promise.set_value(factory());
-    } catch (...) {
-      // Publish the failure to every joined waiter first (they all
-      // rethrow this same typed exception), then evict so a later
-      // request retries instead of inheriting a cached failure. The
-      // eviction is by identity: if clear() raced in and a fresh flight
-      // already occupies the slot, that healthy flight must survive.
-      promise.set_exception(std::current_exception());
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      if (it != entries_.end() && it->second == flight) entries_.erase(it);
-    }
-  }
-
-  CalibrationReport report = flight->future.get();  // waits for the owner
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    report.from_cache = !owner;
-    report.cache_hits = hits_;
-    report.cache_misses = misses_;
-  }
-  return report;
-}
-
-CalibrationCache::Stats CalibrationCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {hits_, misses_};
-}
-
-std::size_t CalibrationCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void CalibrationCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  hits_ = 0;
-  misses_ = 0;
 }
 
 }  // namespace grophecy::pcie

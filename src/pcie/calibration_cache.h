@@ -2,98 +2,42 @@
 //
 // The paper notes calibration is "automatically invoked when run on a new
 // system" (§III-C) — i.e. once per system, not once per projection. The
-// framework's calibration is a pure function of
+// framework's calibration is a pure function of (machine PCIe spec,
+// calibration options, host memory mode, RNG seed), so the seven paper
+// benches and every per-job engine a parallel sweep constructs calibrate
+// the Argonne testbed once, and every later construction is a lookup.
 //
-//   (machine PCIe spec, calibration options, host memory mode, RNG seed)
-//
-// so two engines targeting the same system with the same procedure must
-// arrive at the same model — and the second one has no reason to re-run
-// the probes. This cache provides that sharing process-wide: the seven
-// paper benches and every per-job engine a parallel sweep constructs
-// calibrate the Argonne testbed once, and every later construction is a
-// lookup.
-//
-// Concurrency: get_or_calibrate() is single-flight per key. When several
-// sweep workers construct engines for the same machine simultaneously,
-// exactly one runs the calibration; the rest block on a shared future and
-// receive the same report. Distinct keys calibrate concurrently (the
-// factory runs outside the cache lock).
-//
-// Determinism: the key includes the calibration seed, so a cached report
-// is bit-identical to what the caller would have measured itself. Cache
-// hits change wall-clock time, never results.
+// It is one util::ArtifactCache, with that cache's single-flight, failed-
+// flight eviction and determinism contracts. core::Grophecy looks it up
+// (unless ProjectionOptions::use_artifact_caches is off) and stamps the
+// hit/miss provenance into the engine's CalibrationReport.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <map>
-#include <mutex>
-#include <string>
 
 #include "hw/machine.h"
 #include "pcie/calibrator.h"
+#include "util/artifact_cache.h"
 
 namespace grophecy::pcie {
 
 /// Deterministic fingerprint of everything the calibration result depends
 /// on: every field of the machine's PCIe spec (profiles + noise), the
 /// full CalibrationOptions (probe sizes, replication, fit, estimator,
-/// robustness), the host memory mode, and the calibration RNG seed.
-/// FNV-1a over the field bytes; stable within a process lifetime, which
-/// is all a process-wide cache needs.
-std::string calibration_cache_key(const hw::PcieSpec& spec,
-                                  const CalibrationOptions& options,
-                                  hw::HostMemory memory, std::uint64_t seed);
+/// robustness), the host memory mode, and the calibration RNG seed,
+/// folded with util::KeyBuilder.
+std::uint64_t calibration_cache_key(const hw::PcieSpec& spec,
+                                    const CalibrationOptions& options,
+                                    hw::HostMemory memory, std::uint64_t seed);
 
 /// The process-wide calibration cache. Thread-safe; see file comment.
-class CalibrationCache {
+class CalibrationCache : public util::ArtifactCache<CalibrationReport> {
  public:
-  using Factory = std::function<CalibrationReport()>;
-
   /// The singleton instance shared by every engine in the process.
   static CalibrationCache& instance();
 
-  /// Returns the cached report for `key`, running `factory` (outside the
-  /// lock) exactly once per key to produce it. Concurrent callers with
-  /// the same key block until the in-flight calibration finishes. The
-  /// returned copy has from_cache/cache_hits/cache_misses stamped; the
-  /// stored entry keeps from_cache = false. A throwing factory poisons
-  /// nothing: every waiter joined to the failed flight observes the same
-  /// typed exception, the failed entry — and only that entry, never a
-  /// fresh flight that raced in after a clear() — is evicted, and the
-  /// next request for the key retriggers calibration.
-  CalibrationReport get_or_calibrate(const std::string& key,
-                                     const Factory& factory);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  Stats stats() const;
-
-  /// Cached entries (completed or in flight).
-  std::size_t size() const;
-
-  /// Drops every entry and zeroes the counters (tests; a long-lived
-  /// daemon recalibrating on a schedule would also use this).
-  void clear();
-
  private:
   CalibrationCache() = default;
-
-  /// One calibration in flight (or completed). Entries are held behind a
-  /// shared_ptr so a failed flight can be evicted by *identity*: the
-  /// owner erases the map slot only while it still holds this exact
-  /// flight, never a successor installed after a concurrent clear().
-  struct Flight {
-    std::shared_future<CalibrationReport> future;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<Flight>> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace grophecy::pcie

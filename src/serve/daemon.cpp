@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <utility>
 
 #include "dataflow/usage_cache.h"
@@ -146,17 +147,11 @@ void Daemon::shutdown(bool drain) {
   for (std::thread& thread : pool)
     if (thread.joinable()) thread.join();
 
-  // With the pool joined nothing can push new strays; drain the reaper.
-  // Abandoned attempts must terminate eventually (simulated hangs do) —
-  // the same contract SweepEngine documents.
-  std::vector<Abandoned> strays;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    strays.swap(reaper_);
-    started_ = false;
-  }
-  for (Abandoned& stray : strays)
-    if (stray.thread.joinable()) stray.thread.join();
+  // With the pool joined nothing can abandon another attempt; join the
+  // abandoned ones (the exec::AttemptRunner contract: they terminate).
+  attempts_.join_strays();
+  std::lock_guard<std::mutex> lock(mutex_);
+  started_ = false;
 }
 
 void Daemon::reply_now(const ReplyFn& reply, std::string text) {
@@ -353,10 +348,11 @@ void Daemon::worker_loop() {
       // Every waiter gave up while the job sat in the queue: answer
       // timeout without wasting a worker on dead work.
       ExecResult expired;
-      expired.error.kind = ErrorKind::kTimeout;
-      expired.error.timed_out = true;
-      expired.error.message = util::strfmt(
-          "deadline expired while %s was queued", task->spec.key().c_str());
+      expired.error = {
+          .kind = ErrorKind::kTimeout,
+          .message = util::strfmt("deadline expired while %s was queued",
+                                  task->spec.key().c_str()),
+          .timed_out = true};
       {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.expired_unrun;
@@ -376,7 +372,6 @@ void Daemon::worker_loop() {
       stats_.ema_exec_s =
           ema_seeded_ ? 0.8 * stats_.ema_exec_s + 0.2 * exec_s : exec_s;
       ema_seeded_ = true;
-      sweep_reaper_locked();
     }
     fan_out(task, result);
   }
@@ -391,85 +386,20 @@ Daemon::ExecResult Daemon::execute(const exec::JobSpec& spec,
         has_deadline ? seconds_until(deadline)
                      : std::numeric_limits<double>::infinity();
     if (remaining_s <= 0.0) {
-      result.error = {};
-      result.error.kind = ErrorKind::kTimeout;
-      result.error.timed_out = true;
-      result.error.retryable = true;
-      result.error.message = util::strfmt(
-          "job %s exceeded its deadline", spec.key().c_str());
+      result.error = {.kind = ErrorKind::kTimeout,
+                      .message = util::strfmt("job %s exceeded its deadline",
+                                              spec.key().c_str()),
+                      .timed_out = true,
+                      .retryable = true};
       return result;
     }
-    ExecResult attempt = run_attempt(spec, remaining_s);
+    static_cast<exec::AttemptResult&>(result) =
+        attempts_.run(spec, job_fn_, remaining_s);
     ++result.attempts;
-    if (attempt.report) {
-      result.report = std::move(attempt.report);
+    // A retry is still subject to the deadline check above.
+    if (result.report || !result.error.retryable ||
+        result.attempts > options_.max_retries)
       return result;
-    }
-    result.error = attempt.error;
-    if (result.error.retryable && result.attempts <= options_.max_retries)
-      continue;  // the deadline check at the top of the loop still rules
-    return result;
-  }
-}
-
-Daemon::ExecResult Daemon::run_attempt(const exec::JobSpec& spec,
-                                       double remaining_s) {
-  ExecResult result;
-  if (std::isinf(remaining_s)) {
-    try {
-      result.report = job_fn_(spec);
-    } catch (...) {
-      result.error = exec::classify_current_exception();
-    }
-    return result;
-  }
-
-  // Supervised attempt, same shape as SweepEngine::run_attempt: the job
-  // runs on its own thread while this worker watches the clock. A
-  // timed-out attempt is abandoned to the reaper — the worker moves on
-  // immediately; the stray thread is joined opportunistically once its
-  // future is ready, and drained at shutdown.
-  std::packaged_task<core::ProjectionReport()> attempt(
-      [fn = job_fn_, spec] { return fn(spec); });
-  std::shared_future<core::ProjectionReport> future =
-      attempt.get_future().share();
-  std::thread runner(std::move(attempt));
-  if (future.wait_for(std::chrono::duration<double>(remaining_s)) !=
-      std::future_status::ready) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.abandoned;
-      reaper_.push_back({std::move(runner), future});
-    }
-    result.error.kind = ErrorKind::kTimeout;
-    result.error.timed_out = true;
-    result.error.retryable = true;
-    result.error.message = util::strfmt(
-        "job %s exceeded its %.3gs deadline; attempt abandoned",
-        spec.key().c_str(), remaining_s);
-    return result;
-  }
-  runner.join();
-  try {
-    result.report = future.get();
-  } catch (...) {
-    result.error = exec::classify_current_exception();
-  }
-  return result;
-}
-
-void Daemon::sweep_reaper_locked() {
-  auto finished = [](const Abandoned& stray) {
-    return stray.done.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  };
-  for (auto it = reaper_.begin(); it != reaper_.end();) {
-    if (finished(*it)) {
-      if (it->thread.joinable()) it->thread.join();  // immediate: it is done
-      it = reaper_.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 
@@ -547,6 +477,7 @@ DaemonStats Daemon::stats() const {
     out.inflight = inflight_.size();
     out.memo_entries = memo_.size();
   }
+  out.abandoned = attempts_.abandoned();
   const pcie::CalibrationCache::Stats calibration =
       pcie::CalibrationCache::instance().stats();
   out.calibration_hits = calibration.hits;

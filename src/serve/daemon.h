@@ -18,9 +18,9 @@
 //                 deadline covering queue wait + execution. A request
 //                 whose deadline passes while queued is answered
 //                 "timeout" without running; one that expires mid-
-//                 execution has its attempt abandoned to a reaper —
-//                 mirroring the sweep engine's watchdog — so a hung
-//                 projection can never wedge a worker;
+//                 execution has its attempt abandoned by the sweep
+//                 engine's exec::AttemptRunner, so a hung projection can
+//                 never wedge a worker;
 //
 //   coalescing    requests with identical job fingerprints collapse onto
 //                 one in-flight computation (the PR 5 sweep dedupe
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -138,7 +137,7 @@ struct DaemonStats {
                                     ///< memo (counted in `ok` too).
   std::uint64_t executed = 0;       ///< Jobs actually run (post-coalesce).
   std::uint64_t expired_unrun = 0;  ///< Jobs whose waiters all expired queued.
-  std::uint64_t abandoned = 0;      ///< Attempts handed to the reaper.
+  std::uint64_t abandoned = 0;      ///< Attempts abandoned at a deadline.
 
   std::size_t queue_depth = 0;      ///< Gauge: queued jobs right now.
   std::size_t inflight = 0;         ///< Gauge: queued + running jobs.
@@ -166,8 +165,8 @@ class Daemon {
 
   explicit Daemon(DaemonOptions options = {});
   /// Shuts down (draining) if still running; joins every thread,
-  /// including reaped abandoned attempts (which must terminate
-  /// eventually, as with SweepEngine).
+  /// including abandoned attempts (which must terminate eventually, as
+  /// with SweepEngine).
   ~Daemon();
 
   Daemon(const Daemon&) = delete;
@@ -211,24 +210,19 @@ class Daemon {
     bool running = false;
   };
 
-  struct ExecResult {
-    std::optional<core::ProjectionReport> report;
-    exec::JobError error;  ///< Meaningful when report is empty.
+  /// A job's last attempt, and how many attempts it took.
+  struct ExecResult : exec::AttemptResult {
     int attempts = 0;
   };
 
   void worker_loop();
-  /// Runs one job with the retry loop + deadline watchdog; never throws.
+  /// Runs one job with the retry loop, each attempt supervised by
+  /// attempts_ within the remaining time; never throws.
   ExecResult execute(const exec::JobSpec& spec,
                      std::chrono::steady_clock::time_point deadline,
                      bool has_deadline);
-  /// One supervised attempt (thread + watchdog when a deadline applies).
-  ExecResult run_attempt(const exec::JobSpec& spec, double remaining_s);
   void fan_out(const std::shared_ptr<Task>& task, const ExecResult& result);
   void reply_now(const ReplyFn& reply, std::string text);
-  /// Joins reaped attempt threads that have since finished (opportunistic;
-  /// called with mutex_ held).
-  void sweep_reaper_locked();
   double retry_after_hint_locked() const;
   exec::SweepEngine::JobFn make_pipeline_job_fn() const;
 
@@ -248,15 +242,7 @@ class Daemon {
   bool stopping_ = false;
   bool drain_ = true;
 
-  /// Abandoned supervised attempts: thread + a future that becomes ready
-  /// when the attempt function returns, so finished strays are joined
-  /// opportunistically instead of only at shutdown.
-  struct Abandoned {
-    std::thread thread;
-    std::shared_future<core::ProjectionReport> done;
-  };
-  std::vector<Abandoned> reaper_;
-
+  exec::AttemptRunner attempts_;
   DaemonStats stats_;
   bool ema_seeded_ = false;
 };

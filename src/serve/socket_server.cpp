@@ -75,6 +75,9 @@ struct SocketServer::Connection {
   std::mutex write_mutex;
   bool closed = false;
   std::string unsent;
+  /// Whether `reader`, the thread running serve_connection, has returned.
+  std::atomic<bool> finished{false};
+  std::thread reader;
 
   ~Connection() { release_locked(); }  // a connection no reader served
 
@@ -174,17 +177,20 @@ void SocketServer::stop() {
   listen_fd_ = -1;
 
   std::vector<std::shared_ptr<Connection>> connections;
-  std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     connections.swap(connections_);
-    threads.swap(connection_threads_);
   }
   for (const std::shared_ptr<Connection>& connection : connections)
     connection->close();
-  for (std::thread& thread : threads)
-    if (thread.joinable()) thread.join();
+  for (const std::shared_ptr<Connection>& connection : connections)
+    connection->reader.join();
   ::unlink(options_.socket_path.c_str());
+}
+
+std::size_t SocketServer::connections() const {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_.size();
 }
 
 void SocketServer::accept_loop() {
@@ -203,9 +209,18 @@ void SocketServer::accept_loop() {
       connection->close();
       return;
     }
-    connections_.push_back(connection);
-    connection_threads_.emplace_back(
-        [this, connection] { serve_connection(connection); });
+    // Drop the connections whose client has left; their reader threads
+    // have returned, so the joins do not wait on a client.
+    std::erase_if(connections_, [](const std::shared_ptr<Connection>& c) {
+      if (!c->finished.load()) return false;
+      c->reader.join();
+      return true;
+    });
+    connection->reader = std::thread([this, connection] {
+      serve_connection(connection);
+      connection->finished.store(true);
+    });
+    connections_.push_back(std::move(connection));
   }
 }
 

@@ -54,6 +54,8 @@ struct SocketServerOptions {
 /// Accepts connections and pumps lines between clients and a Daemon.
 /// start() spawns the accept thread; stop() (or destruction) closes the
 /// listening socket and every live connection and joins all threads.
+/// Connections whose client left are joined and dropped as new ones are
+/// accepted, so a long-lived server holds only its live connections.
 class SocketServer {
  public:
   SocketServer(Daemon& daemon, SocketServerOptions options);
@@ -74,6 +76,10 @@ class SocketServer {
   /// True between start() and stop().
   bool running() const { return running_.load(); }
 
+  /// Connections held: the live ones, plus any whose reader thread
+  /// finished since the last accept (each accept joins and drops those).
+  std::size_t connections() const;
+
   const SocketServerOptions& options() const { return options_; }
 
  private:
@@ -89,9 +95,8 @@ class SocketServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 
-  std::mutex connections_mutex_;
+  mutable std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> connection_threads_;
 };
 
 /// Blocking line-oriented client for the daemon socket. Not thread-safe;

@@ -3,7 +3,8 @@
 // The projection pipeline derives several artifacts that are pure
 // functions of their inputs: a parsed .gskel/.gmach document is a pure
 // function of the file bytes, a built workload skeleton of
-// (workload, size, iterations), a transfer plan of the skeleton content.
+// (workload, size, iterations), a transfer plan of the skeleton content,
+// a PCIe calibration of (bus spec, procedure, memory mode, seed).
 // Sweeps re-derive them once per job; this cache derives each once per
 // process and hands every later consumer the same immutable object.
 //
@@ -15,7 +16,7 @@
 //     future. Distinct keys build concurrently (the factory runs outside
 //     the cache lock). A throwing factory is evicted, never cached.
 //   * hits/misses counters feed the accounting that paper_report prints
-//     alongside the calibration-cache accounting (docs/performance.md).
+//     (docs/performance.md).
 //
 // Determinism: a cached artifact is bit-identical to what the caller
 // would have built itself — content-addressed keys guarantee it. Cache
@@ -33,8 +34,8 @@
 
 namespace grophecy::util {
 
-/// Incrementally folds heterogeneous fields into one 64-bit FNV-1a state
-/// (the same scheme as pcie::calibration_cache_key). Strings are length
+/// Incrementally folds heterogeneous fields into one 64-bit FNV-1a state,
+/// the key scheme of every ArtifactCache instance. Strings are length
 /// prefixed so ("ab","c") and ("a","bc") fold differently; doubles are
 /// folded via their bit representation, since a cache must distinguish
 /// any inputs the computation could distinguish.
@@ -126,9 +127,8 @@ class ArtifactCache {
         promise.set_exception(std::current_exception());
         // Evict by flight *identity*, not by key: if clear() raced in
         // between and a fresh, healthy flight already occupies the key,
-        // that successor must survive (same contract as the PR 6
-        // CalibrationCache fix — erasing by key would drop it and re-run
-        // its factory, breaking single-flight).
+        // that successor must survive — erasing by key would drop it and
+        // re-run its factory, breaking single-flight.
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = entries_.find(key);
         if (it != entries_.end() && it->second == flight) entries_.erase(it);

@@ -42,14 +42,6 @@ std::uint64_t fnv1a64(std::string_view data) {
   return hash;
 }
 
-std::uint64_t fnv1a64_fold(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xFFu;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::uint64_t splitmix64(std::uint64_t value) {
   value += 0x9e3779b97f4a7c15ULL;
   value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -21,13 +21,10 @@ std::uint32_t crc32(std::string_view data);
 std::string crc32_hex(std::string_view data);
 
 /// FNV-1a 64-bit hash of `data`. Deterministic across platforms and
-/// processes; used for sweep job fingerprints, per-job RNG stream
-/// derivation, and calibration-cache keys. Not cryptographic.
+/// processes; used for sweep job fingerprints and per-job RNG stream
+/// derivation (cache keys fold fields with util::KeyBuilder instead).
+/// Not cryptographic.
 std::uint64_t fnv1a64(std::string_view data);
-
-/// Folds `value` into an FNV-1a hash in progress (for hashing structs
-/// field by field: start from fnv1a64("") or a previous fold).
-std::uint64_t fnv1a64_fold(std::uint64_t hash, std::uint64_t value);
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer. Seeding a
 /// stochastic stream with splitmix64(base ^ fnv1a64(key)) gives every key

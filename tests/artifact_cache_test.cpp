@@ -1,13 +1,14 @@
-// The shared-artifact layer (util/artifact_cache.h and its three users):
+// The shared-artifact layer (util/artifact_cache.h and its users):
 //
 //   * KeyBuilder: field-order and boundary sensitivity of the FNV-1a
 //     content keys;
 //   * ArtifactCache: single-flight builds, hit/miss accounting, eviction
-//     of throwing factories, immutable shared artifacts;
+//     of throwing factories (every waiter sees the typed failure),
+//     clear(), immutable shared artifacts;
 //   * the pipeline caches: parse/skeleton/usage caching returns the same
 //     immutable artifact, plan keys are iteration independent (paper
-//     §III-B), and projections are bit-identical with the caches on or
-//     off.
+//     §III-B), and projections are bit-identical with the caches
+//     (calibration included) on or off across the machine fleet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,13 +19,15 @@
 #include <thread>
 #include <vector>
 
-#include "core/grophecy.h"
+#include "core/experiment.h"
 #include "dataflow/usage_cache.h"
+#include "exec/sweep.h"
 #include "hw/machine_file.h"
-#include "hw/registry.h"
+#include "hw/machine_registry.h"
 #include "skeleton/fingerprint.h"
 #include "skeleton/parse.h"
 #include "util/artifact_cache.h"
+#include "util/error.h"
 #include "workloads/skeleton_cache.h"
 #include "workloads/workload.h"
 
@@ -200,6 +203,64 @@ TEST(ArtifactCache, FailedFlightEvictionUnderContendedRetries) {
   EXPECT_LE(cache.size(), 1u);
 }
 
+TEST(ArtifactCache, ConcurrentWaitersAllObserveTheSameTypedFailure) {
+  // The failed-flight contract under concurrency: every caller joined to
+  // a flight whose factory throws observes that same typed error (no
+  // waiter hangs, none gets a half-built value), and the failure is
+  // evicted so a *fresh* request retriggers the build.
+  util::ArtifactCache<int> cache;
+  std::atomic<int> factory_calls{0};
+  const auto failing_factory = [&]() -> int {
+    factory_calls.fetch_add(1);
+    // Let the other callers join the in-flight future before it fails.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    throw CalibrationError("link down");
+  };
+
+  constexpr int kThreads = 8;
+  std::atomic<int> typed_failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      try {
+        cache.get_or_build(13, failing_factory);
+      } catch (const CalibrationError& error) {
+        EXPECT_EQ(error.kind(), ErrorKind::kCalibration);
+        EXPECT_NE(std::string(error.what()).find("link down"),
+                  std::string::npos);
+        typed_failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // Whoever joined the failing flight saw its error; stragglers that
+  // arrived after eviction re-ran the factory and failed the same way.
+  EXPECT_EQ(typed_failures.load(), kThreads);
+  EXPECT_GE(factory_calls.load(), 1);
+  EXPECT_EQ(cache.size(), 0u);  // no failure is ever left cached
+
+  // A fresh request retriggers the build and can succeed.
+  EXPECT_EQ(*cache.get_or_build(13, [] { return 7; }), 7);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ArtifactCache, ClearDropsEntriesAndZeroesCounters) {
+  util::ArtifactCache<int> cache;
+  cache.get_or_build(1, [] { return 1; });
+  cache.get_or_build(1, [] { return 1; });
+  ASSERT_EQ(cache.size(), 1u);
+
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+
+  int factory_calls = 0;
+  cache.get_or_build(1, [&] { return ++factory_calls; });
+  EXPECT_EQ(factory_calls, 1);  // the old entry is really gone
+}
+
 // --- parse caches ---
 
 TEST(ArtifactCache, ParseCachesReturnTheSameDocumentObject) {
@@ -265,35 +326,36 @@ TEST(ArtifactCache, UsageFingerprintIgnoresIterationsOnly) {
 // --- the projection is identical with the caches on or off ---
 
 TEST(ArtifactCache, ProjectionBitIdenticalWithCachesOnOrOff) {
+  // Every registry machine x every paper point x several iteration counts
+  // (1 leaves temporal fusion out, 3 and 8 try it), with one engine per
+  // machine per side: each projection's journal record is byte-identical
+  // whether the process-wide caches (calibration, skeleton, usage) served
+  // it or the engine computed everything itself.
   const workloads::PaperSuite& suite = workloads::PaperSuite::instance();
-  const workloads::Workload& srad = suite.find("SRAD");
-  const workloads::DataSize size =
-      workloads::find_data_size(srad, "1024 x 1024");
-  const skeleton::AppSkeleton app = srad.make_skeleton(size, 2);
-
-  core::ProjectionOptions cached_options;
-  cached_options.use_artifact_caches = true;
   core::ProjectionOptions uncached_options;
   uncached_options.use_artifact_caches = false;
-
-  core::Grophecy cached_engine(hw::anl_eureka(), cached_options);
-  core::Grophecy uncached_engine(hw::anl_eureka(), uncached_options);
-  const core::ProjectionReport cached = cached_engine.project(app);
-  const core::ProjectionReport uncached = uncached_engine.project(app);
-
-  EXPECT_TRUE(cached.artifacts.caches_enabled);
-  EXPECT_FALSE(uncached.artifacts.caches_enabled);
-  EXPECT_EQ(cached.artifacts.usage_key, skeleton::usage_fingerprint(app));
-
-  // Bitwise equality of every scalar the journal records.
-  EXPECT_EQ(cached.predicted_kernel_s, uncached.predicted_kernel_s);
-  EXPECT_EQ(cached.predicted_transfer_s, uncached.predicted_transfer_s);
-  EXPECT_EQ(cached.measured_kernel_s, uncached.measured_kernel_s);
-  EXPECT_EQ(cached.measured_transfer_s, uncached.measured_transfer_s);
-  EXPECT_EQ(cached.measured_cpu_s, uncached.measured_cpu_s);
-  EXPECT_EQ(cached.plan.input_bytes(), uncached.plan.input_bytes());
-  EXPECT_EQ(cached.plan.output_bytes(), uncached.plan.output_bytes());
-  EXPECT_EQ(cached.describe(), uncached.describe());
+  for (const auto& machine : hw::MachineRegistry::global().machines()) {
+    core::ExperimentRunner cached(*machine);
+    core::ExperimentRunner uncached(*machine, uncached_options);
+    for (const auto& workload : suite.all()) {
+      for (const workloads::DataSize& size : workload->paper_data_sizes()) {
+        for (int iterations : {1, 3, 8}) {
+          const exec::JobSpec spec{workload->name(), size.label, iterations,
+                                   machine->name};
+          const core::ProjectionReport on =
+              cached.run(*workload, size, iterations);
+          const core::ProjectionReport off =
+              uncached.run(*workload, size, iterations);
+          ASSERT_TRUE(on.artifacts.caches_enabled);
+          ASSERT_FALSE(off.artifacts.caches_enabled);
+          EXPECT_EQ(exec::JobRecord::from_report(spec, on, 1, 0.0).to_json(),
+                    exec::JobRecord::from_report(spec, off, 1, 0.0).to_json())
+              << spec.key();
+          EXPECT_EQ(on.describe(), off.describe()) << spec.key();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

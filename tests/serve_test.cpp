@@ -11,6 +11,7 @@
 // memo serves), and one runs the real socket transport end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -986,6 +987,40 @@ TEST(ServeEndToEnd, PipelinedRequestsWithoutReadingNeverDeadlock) {
   client_thread.join();
   daemon.shutdown();
   EXPECT_EQ(daemon.stats().received, daemon.stats().replies);
+}
+
+TEST(ServeEndToEnd, ClosedConnectionsAreDroppedAsNewOnesArrive) {
+  // Sequential clients that each connect, ping and leave. A server that
+  // kept every finished connection and its reader thread until stop()
+  // would hold one per client it ever served.
+  Daemon daemon(stub_options([](const JobSpec& spec) {
+    return stub_report(spec);
+  }));
+  daemon.start();
+  const std::string socket_path =
+      "/tmp/grophecy_serve_churn_" + std::to_string(::getpid()) + ".sock";
+  SocketServer server(daemon, {.socket_path = socket_path});
+  server.start();
+
+  constexpr int kClients = 300;
+  std::size_t most_held = 0;
+  for (int i = 0; i < kClients; ++i) {
+    Client client;
+    ASSERT_TRUE(client.connect(socket_path));
+    const auto pong = client.request(R"({"id":"c","type":"ping"})");
+    ASSERT_TRUE(pong.has_value());
+    EXPECT_EQ(field(*pong, "type"), "pong");
+    client.close();
+    most_held = std::max(most_held, server.connections());
+  }
+  // Held: the latest connection, plus any whose reader thread had not yet
+  // seen its client leave when the next client was accepted.
+  EXPECT_LE(most_held, 16u);
+
+  server.stop();
+  EXPECT_EQ(server.connections(), 0u);
+  daemon.shutdown();
+  EXPECT_EQ(daemon.stats().replies, static_cast<std::uint64_t>(kClients));
 }
 
 }  // namespace

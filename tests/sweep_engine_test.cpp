@@ -6,7 +6,9 @@
 //     retry for permanent ones (calibration/contract/usage);
 //   * the wall-clock deadline watchdog converts hangs (including
 //     faults::FaultInjector-scripted hangs) into timed-out JobErrors
-//     instead of a stuck sweep;
+//     instead of a stuck sweep, and AttemptRunner — the supervised
+//     attempt the engine shares with serve::Daemon — runs without a
+//     thread when there is no deadline and joins its abandoned attempts;
 //   * crash-safe journaling + resume: a second run replays completed jobs
 //     from the journal and re-executes only failed/missing ones, and the
 //     resumed table equals the fault-free results wherever jobs succeeded.
@@ -16,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -291,6 +294,85 @@ TEST(SweepEngine, FaultInjectorHangSurfacesAsTimeoutNotAStuckSweep) {
     std::lock_guard<std::mutex> lock(injector_mutex);
     EXPECT_GE(injector.stats().hangs, 1u);
   }
+}
+
+// --- the supervised attempt (shared with serve::Daemon) ---
+
+TEST(AttemptRunner, InfiniteDeadlineRunsInlineOnTheCallingThread) {
+  AttemptRunner runner;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  const AttemptResult ok = runner.run(
+      {"W", "a", 1, ""},
+      [&](const JobSpec& spec) {
+        ran_on = std::this_thread::get_id();
+        return fake_report(spec);
+      },
+      std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(ok.report.has_value());
+  EXPECT_EQ(ran_on, caller);
+
+  // A failure is classified on either path, never thrown.
+  const JobFn permanent = [](const JobSpec&) -> core::ProjectionReport {
+    throw CalibrationError("poisoned config");
+  };
+  for (double deadline_s : {std::numeric_limits<double>::infinity(), 5.0}) {
+    const AttemptResult failed = runner.run({"W", "a", 1, ""}, permanent,
+                                            deadline_s);
+    EXPECT_FALSE(failed.report.has_value());
+    EXPECT_EQ(failed.error.kind, ErrorKind::kCalibration);
+    EXPECT_FALSE(failed.error.retryable);
+  }
+  EXPECT_EQ(runner.abandoned(), 0u);
+  EXPECT_EQ(runner.strays(), 0u);
+}
+
+TEST(AttemptRunner, LateAttemptIsAbandonedAndJoinedOnceFinished) {
+  std::atomic<bool> release{false};  // outlives the runner's strays
+  AttemptRunner runner;
+  const AttemptResult late = runner.run(
+      {"W", "a", 1, ""},
+      [&](const JobSpec& spec) {
+        while (!release.load()) std::this_thread::yield();
+        return fake_report(spec);
+      },
+      0.02);
+  EXPECT_FALSE(late.report.has_value());
+  EXPECT_EQ(late.error.kind, ErrorKind::kTimeout);
+  EXPECT_TRUE(late.error.timed_out);
+  EXPECT_TRUE(late.error.retryable);
+  EXPECT_EQ(late.error.message,
+            "job W/a/x1 exceeded the 0.02s deadline; attempt abandoned");
+  EXPECT_EQ(runner.abandoned(), 1u);
+  EXPECT_EQ(runner.strays(), 1u);  // still running: nothing to join yet
+
+  // Once the stray has finished, a later supervised attempt joins it.
+  release = true;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (runner.strays() > 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(runner.run({"W", "b", 1, ""}, fake_report, 5.0).report);
+  }
+  EXPECT_EQ(runner.strays(), 0u);
+  EXPECT_EQ(runner.abandoned(), 1u);
+}
+
+TEST(AttemptRunner, JoinStraysWaitsForAbandonedAttempts) {
+  std::atomic<bool> finished{false};  // outlives the runner's strays
+  AttemptRunner runner;
+  runner.run(
+      {"W", "a", 1, ""},
+      [&](const JobSpec& spec) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        finished = true;
+        return fake_report(spec);
+      },
+      0.01);
+  EXPECT_EQ(runner.strays(), 1u);
+  runner.join_strays();
+  EXPECT_TRUE(finished.load());
+  EXPECT_EQ(runner.strays(), 0u);
 }
 
 // --- journaling + resume ---
