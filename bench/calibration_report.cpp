@@ -18,7 +18,7 @@ int main() {
   util::TextTable table({"Machine", "Memory", "H2D alpha (us)", "H2D GB/s",
                          "D2H alpha (us)", "D2H GB/s"});
 
-  for (const hw::MachineSpec& machine : hw::all_machines()) {
+  for (const hw::MachineSpec& machine : hw::builtin_machines()) {
     for (hw::HostMemory mem :
          {hw::HostMemory::kPinned, hw::HostMemory::kPageable}) {
       pcie::SimulatedBus bus(machine.pcie, /*seed=*/31);

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/grophecy.h"
-#include "hw/registry.h"
+#include "hw/machine_registry.h"
 #include "skeleton/parse.h"
 #include "util/contracts.h"
 #include "util/table.h"
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   }
   std::sort(files.begin(), files.end());
 
-  core::Grophecy engine(hw::machine_by_name(machine_name));
+  core::Grophecy engine(hw::MachineRegistry::global().find(machine_name));
 
   struct Candidate {
     std::string name;

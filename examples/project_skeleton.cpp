@@ -22,7 +22,6 @@
 #include "core/memory_advisor.h"
 #include "hw/machine_file.h"
 #include "hw/machine_registry.h"
-#include "hw/registry.h"
 #include "skeleton/parse.h"
 #include "skeleton/print.h"
 
@@ -69,8 +68,9 @@ int main(int argc, char** argv) {
     std::printf("%s\n", skeleton::to_string(app).c_str());
 
     const hw::MachineSpec machine =
-        machine_file.empty() ? hw::machine_by_name(machine_name)
-                             : *hw::parse_machine_file_cached(machine_file);
+        machine_file.empty()
+            ? hw::MachineRegistry::global().find(machine_name)
+            : *hw::parse_machine_file_cached(machine_file);
     core::Grophecy engine(machine);
     std::printf("machine: %s (%s, %s)\n", machine.name.c_str(),
                 machine.gpu.name.c_str(), machine.pcie.name.c_str());

@@ -25,8 +25,8 @@
 // remainder, and cascade merging only applies provably exact unions, so the
 // set always represents exactly the union of the added sections.
 // The pinned pre-rewrite implementation lives in
-// brs/reference_section_set.h for the randomized property suite and the
-// micro_brs regression bench.
+// tests/support/reference_section_set.h for the randomized property suite
+// and the micro_brs regression bench.
 //
 // Instances are not thread-safe (covers/bounding_union memoize the union
 // fold); the analyzer uses one set per array per walk.

@@ -62,8 +62,7 @@ std::unique_ptr<sim::KernelTimer> make_kernel_timer(
     const hw::GpuSpec& gpu, const ProjectionOptions& options,
     std::uint64_t seed) {
   if (options.detailed_sim)
-    return std::make_unique<sim::EventGpuSimulator>(gpu, seed,
-                                                    options.event_sim);
+    return std::make_unique<sim::EventGpuSimulator>(gpu, seed);
   return std::make_unique<sim::GpuSimulator>(gpu, seed);
 }
 
@@ -110,9 +109,6 @@ void ProjectionOptions::validate() const {
           "must be >= calibration.replicates");
   for (std::uint64_t bytes : calibration.sweep_bytes)
     require(bytes > 0, "calibration.sweep_bytes", "entries must be positive");
-  require(event_sim.jitter_quantum >= 0.0, "event_sim.jitter_quantum",
-          util::strfmt("must be non-negative, got %g",
-                       event_sim.jitter_quantum));
   for (int fuse : fusion_candidates)
     require(fuse >= 1, "fusion_candidates",
             util::strfmt("entries must be >= 1, got %d", fuse));

@@ -54,8 +54,7 @@ struct ProjectionOptions {
   /// (sim::EventGpuSimulator) instead of the wave-based one: greedy block
   /// scheduling + chip-wide DRAM contention.
   bool detailed_sim = false;
-  /// Engine selection and tuning for the detailed simulator (cohort fast
-  /// path by default; SimEngine::kReference restores the original loop).
+  /// Empty; kept only while e2ebench/src/replay.cpp reads it.
   sim::EventSimOptions event_sim;
   /// Serve calibration, built skeletons and usage-analysis artifacts from
   /// the process-wide artifact caches (util/artifact_cache.h). Calibration

@@ -1,6 +1,5 @@
 #include "hw/registry.h"
 
-#include "hw/machine_registry.h"
 #include "util/contracts.h"
 #include "util/units.h"
 
@@ -194,12 +193,6 @@ MachineSpec pcie3_kepler() {
 
 std::vector<MachineSpec> builtin_machines() {
   return {anl_eureka(), pcie2_fermi(), pcie3_kepler()};
-}
-
-std::vector<MachineSpec> all_machines() { return builtin_machines(); }
-
-MachineSpec machine_by_name(const std::string& name) {
-  return MachineRegistry::global().find(name);
 }
 
 }  // namespace grophecy::hw

@@ -1,4 +1,4 @@
-// Built-in machines and the legacy lookup shims.
+// Built-in machines.
 //
 // `anl_eureka()` reproduces the paper's testbed (§IV-A): a node of Argonne's
 // Eureka data analysis and visualization cluster with a quad-core Intel Xeon
@@ -17,7 +17,6 @@
 // (hw/machine_registry.h); new code should look machines up there.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "hw/machine.h"
@@ -36,15 +35,5 @@ MachineSpec pcie3_kepler();
 /// The built-in machines, `anl_eureka()` first. These are the valid
 /// `.gmach` `base` seeds.
 std::vector<MachineSpec> builtin_machines();
-
-/// Deprecated shim: the built-in trio only, kept so existing benches and
-/// tests compile (and see exactly the machines they were tuned against).
-/// For the full registered fleet use MachineRegistry::global().
-std::vector<MachineSpec> all_machines();
-
-/// Deprecated shim for MachineRegistry::global().find(): looks a machine up
-/// across the full registry (builtins + shipped + GROPHECY_MACHINE_PATH).
-/// Throws UsageError listing the valid names if unknown.
-MachineSpec machine_by_name(const std::string& name);
 
 }  // namespace grophecy::hw

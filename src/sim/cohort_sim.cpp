@@ -20,19 +20,6 @@ constexpr std::uint8_t kMemoryBit = 2;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Half-width of the dense lattice-point -> jitter memo. With practical
-// quanta the draws land within a few dozen points of 1.0; anything outside
-// the window is computed directly and never merged.
-constexpr std::int32_t kLatticeWindow = 2048;
-
-// Lattice index sentinel for out-of-window draws.
-constexpr std::int32_t kNoLattice = std::numeric_limits<std::int32_t>::min();
-
-// Cap on (lattice span x num_sms) cells the counting merge will use for
-// one batch; a pathologically fine quantum falls back to singleton cohorts
-// (physics-equivalent — merging only dedupes identical thresholds).
-constexpr std::size_t kMaxBucketCells = std::size_t{1} << 18;
-
 }  // namespace
 
 BlockDemands block_demands(const gpumodel::KernelCharacteristics& kc,
@@ -197,7 +184,7 @@ double CohortEngine::simulate_expected(
 
 double CohortEngine::simulate_jittered(
     const gpumodel::KernelCharacteristics& kc, const hw::GpuSpec& gpu,
-    double sigma, double jitter_quantum, util::Rng& rng) {
+    double sigma, util::Rng& rng) {
   GROPHECY_EXPECTS(sigma > 0.0);
   const gpumodel::Occupancy occ = gpumodel::compute_occupancy(
       gpu, kc.variant.block_size, kc.regs_per_thread,
@@ -220,13 +207,6 @@ double CohortEngine::simulate_jittered(
   const std::int64_t capacity =
       static_cast<std::int64_t>(cap_per_sm) * num_sms;
   const auto capacity_sz = static_cast<std::size_t>(capacity);
-  const bool quantized = jitter_quantum > 0.0;
-  // At one block per SM a cohort owns its whole compute stream: the
-  // fair-share rate is frozen from placement to exhaustion, so the compute
-  // demand folds into the private deadline and the per-SM streams (and
-  // their slots in the event scan) go entirely unused.
-  const bool fold_compute = cap_per_sm == 1;
-  const std::size_t scan_base = fold_compute ? mem_stream : 0;
 
   stats_ = CohortSimStats{};
   stats_.blocks = kc.num_blocks;
@@ -247,12 +227,10 @@ double CohortEngine::simulate_jittered(
   }
   next_time_.assign(num_streams, kInf);
   cohort_sm_.clear();
-  cohort_count_.clear();
   cohort_remaining_.clear();
   cohort_deadline_.clear();
   free_cohorts_.clear();
   cohort_sm_.reserve(capacity_sz);
-  cohort_count_.reserve(capacity_sz);
   cohort_remaining_.reserve(capacity_sz);
   cohort_deadline_.reserve(capacity_sz);
   free_cohorts_.reserve(capacity_sz);
@@ -263,10 +241,6 @@ double CohortEngine::simulate_jittered(
   dirty_.reserve(num_streams);
   draw_.clear();
   draw_.reserve(capacity_sz);
-  if (quantized) {
-    draw_idx_.clear();
-    draw_idx_.reserve(capacity_sz);
-  }
 
   // Fair-share rate tables by consumer count: bitwise the reference
   // expressions, divided once here instead of at every refresh. The
@@ -285,22 +259,15 @@ double CohortEngine::simulate_jittered(
     mem_inv_rate_[c] = static_cast<double>(c) / chip_bw;
   }
 
-  const double lattice_step = sigma * jitter_quantum;
-  const double inv_lattice_step = quantized ? 1.0 / lattice_step : 0.0;
-  if (quantized && lattice_step != lattice_step_) {
-    lattice_jitter_.assign(2 * static_cast<std::size_t>(kLatticeWindow) + 1,
-                           std::numeric_limits<double>::quiet_NaN());
-    lattice_step_ = lattice_step;
-  }
-
-  // --- Solo fast path: one block per SM with continuous jitter. Every
-  // cohort is a singleton that owns its SM (the cohort slot IS the SM id),
-  // compute and floor fold into one private deadline, and the engine
-  // reduces to exactly two streams — the shared memory drain and the
-  // deadline heap — whose state lives in registers with no dirty-list or
-  // next-time indirection. Same physics, same expressions, same draw
-  // stream as the general loop below; just no generality tax.
-  if (fold_compute && !quantized) {
+  // --- Solo path: one block per SM. Every cohort owns its SM (the cohort
+  // slot IS the SM id) and with it its whole compute stream: the
+  // fair-share rate is frozen from placement to exhaustion, so compute and
+  // floor fold into one private deadline. The engine reduces to exactly
+  // two streams — the shared memory drain and the deadline heap — whose
+  // state lives in registers with no dirty-list or next-time indirection.
+  // Same physics, same expressions, same draw stream as the general loop
+  // below, which therefore only ever sees two or more blocks per SM.
+  if (cap_per_sm == 1) {
     util::FlatDaryHeap<4>& mem_heap = heaps_[mem_stream];
     util::FlatDaryHeap<4>& dl_heap = heaps_[deadline_stream];
     cohort_deadline_.assign(static_cast<std::size_t>(num_sms), 0.0);
@@ -441,41 +408,31 @@ double CohortEngine::simulate_jittered(
       return id;
     }
     cohort_sm_.push_back(0);
-    cohort_count_.push_back(0);
     cohort_remaining_.push_back(0);
     cohort_deadline_.push_back(0.0);
     return static_cast<std::int32_t>(cohort_sm_.size() - 1);
   };
 
-  // Opens a one-block cohort on `sm` with the given jittered demands.
+  // Opens the cohort of one block on `sm` with the given jittered demands.
   // Heap-backed demands push their threshold (drain level at placement +
-  // demand); constant-rate demands fold into the private deadline. Merged
-  // blocks join later by bumping the count and consumer tallies.
+  // demand); the floor folds into the private deadline.
   auto open_cohort = [&](int sm, double compute, double memory,
-                         double floor) __attribute__((always_inline))
-                         -> std::int32_t {
+                         double floor) __attribute__((always_inline)) {
     const std::int32_t id = alloc_cohort();
     const auto cid = static_cast<std::size_t>(id);
     cohort_sm_[cid] = sm;
-    cohort_count_[cid] = 1;
     std::uint8_t remaining = 0;
     double deadline = 0.0;
     ++stats_.cohorts;
     if (compute > kSimEps) {
-      if (fold_compute) {
-        // Sole occupant of its SM stream: the rate issue/1 never changes,
-        // so the exhaustion instant is known now.
-        deadline = t + compute * compute_inv_rate_[1];
-      } else {
-        remaining |= kComputeBit;
-        const auto sm_id = static_cast<std::size_t>(sm);
-        StreamCore& stream = streams_[sm_id];
-        stream.level += stream.rate * (t - stream.last_t);
-        stream.last_t = t;
-        heaps_[sm_id].push(stream.level + compute, id);
-        ++compute_consumers_[sm_id];
-        mark_dirty(sm_id);
-      }
+      remaining |= kComputeBit;
+      const auto sm_id = static_cast<std::size_t>(sm);
+      StreamCore& stream = streams_[sm_id];
+      stream.level += stream.rate * (t - stream.last_t);
+      stream.last_t = t;
+      heaps_[sm_id].push(stream.level + compute, id);
+      ++compute_consumers_[sm_id];
+      mark_dirty(sm_id);
     }
     if (memory > kSimEps) {
       remaining |= kMemoryBit;
@@ -497,7 +454,6 @@ double CohortEngine::simulate_jittered(
       heaps_[deadline_stream].push(deadline, id);
       mark_dirty(deadline_stream);
     }
-    return id;
   };
 
   // Greedy backfill equivalent to the reference policy (one block at a
@@ -507,10 +463,7 @@ double CohortEngine::simulate_jittered(
   // of an O(num_sms) scan. Jitters for a whole batch of free slots are
   // drawn at once (the bulk fill is bitwise the sequential draw stream);
   // degenerate draws retire instantly without taking a slot, so the loop
-  // re-draws until the chip is full or no blocks remain. In quantized mode
-  // the draws snap onto the jitter lattice through the memo, and
-  // same-(SM, lattice point) placements of a batch collapse into one
-  // cohort via the epoch-tagged counting buckets.
+  // re-draws until the chip is full or no blocks remain.
   auto place_pending = [&]() {
     int level = sm_load_[0];
     for (int s = 1; s < num_sms; ++s)
@@ -520,52 +473,7 @@ double CohortEngine::simulate_jittered(
     while (pending > 0 && free_slots > 0) {
       const auto n = static_cast<std::size_t>(std::min(pending, free_slots));
       draw_.resize(n);
-      bool use_buckets = false;
-      std::int32_t lattice_lo = 0;
-      if (quantized) {
-        draw_idx_.resize(n);
-        if (n == 1) {
-          draw_[0] = rng.normal();  // bitwise fill_normal(dst, 1)
-        } else {
-          rng.fill_normal(draw_.data(), n);
-        }
-        std::int32_t lo = std::numeric_limits<std::int32_t>::max();
-        std::int32_t hi = std::numeric_limits<std::int32_t>::min();
-        for (std::size_t j = 0; j < n; ++j) {
-          const double didx =
-              std::round(sigma * draw_[j] * inv_lattice_step);
-          if (std::abs(didx) <= static_cast<double>(kLatticeWindow)) {
-            const auto idx = static_cast<std::int32_t>(didx);
-            double& memo = lattice_jitter_[static_cast<std::size_t>(
-                idx + kLatticeWindow)];
-            if (std::isnan(memo)) memo = std::exp(didx * lattice_step);
-            draw_[j] = memo;
-            draw_idx_[j] = idx;
-            lo = std::min(lo, idx);
-            hi = std::max(hi, idx);
-          } else {
-            draw_[j] = std::exp(didx * lattice_step);
-            draw_idx_[j] = kNoLattice;
-          }
-        }
-        if (lo <= hi) {
-          const std::size_t span_cells =
-              (static_cast<std::size_t>(hi - lo) + 1) *
-              static_cast<std::size_t>(num_sms);
-          if (span_cells <= kMaxBucketCells) {
-            use_buckets = true;
-            lattice_lo = lo;
-            if (bucket_cohort_.size() < span_cells) {
-              bucket_cohort_.resize(span_cells);
-              bucket_epoch_.resize(span_cells, 0);
-            }
-            if (++epoch_ == 0) {  // epoch wrap: invalidate every cell
-              std::fill(bucket_epoch_.begin(), bucket_epoch_.end(), 0u);
-              epoch_ = 1;
-            }
-          }
-        }
-      } else if (n == 1) {
+      if (n == 1) {
         // The steady-state common case (one freed slot, one draw): skip
         // the bulk-fill call layer; bitwise fill_lognormal(1.0, sigma, 1).
         draw_[0] = rng.lognormal(1.0, sigma);
@@ -596,26 +504,6 @@ double CohortEngine::simulate_jittered(
         if (++cursor == num_sms) {
           cursor = 0;
           ++level;
-        }
-
-        if (use_buckets && draw_idx_[j] != kNoLattice) {
-          const std::size_t cell =
-              static_cast<std::size_t>(draw_idx_[j] - lattice_lo) *
-                  static_cast<std::size_t>(num_sms) +
-              static_cast<std::size_t>(sm);
-          if (bucket_epoch_[cell] == epoch_) {
-            // Counting merge: the cohort exists, the block just joins it.
-            const auto cid = static_cast<std::size_t>(bucket_cohort_[cell]);
-            ++cohort_count_[cid];
-            const std::uint8_t remaining = cohort_remaining_[cid];
-            if (remaining & kComputeBit)
-              ++compute_consumers_[static_cast<std::size_t>(sm)];
-            if (remaining & kMemoryBit) ++mem_consumers;
-            continue;
-          }
-          bucket_cohort_[cell] = open_cohort(sm, compute, memory, floor);
-          bucket_epoch_[cell] = epoch_;
-          continue;
         }
         open_cohort(sm, compute, memory, floor);
       }
@@ -682,11 +570,10 @@ double CohortEngine::simulate_jittered(
     // Cross-stream pick: a vectorizable min over the lazy per-stream
     // next-exhaustion times, then the lowest tied index. For the few dozen
     // streams of a real chip this beats re-sifting an indexed heap on
-    // every rate change. With folded compute the per-SM streams are
-    // guaranteed idle and the scan covers just the mem + deadline slots.
-    double event_t = next_time_[scan_base];
-    std::size_t stream_id = scan_base;
-    for (std::size_t s = scan_base + 1; s < num_streams; ++s) {
+    // every rate change.
+    double event_t = next_time_[0];
+    std::size_t stream_id = 0;
+    for (std::size_t s = 1; s < num_streams; ++s) {
       if (next_time_[s] < event_t) {
         event_t = next_time_[s];
         stream_id = s;  // strict < keeps the lowest tied index
@@ -709,9 +596,8 @@ double CohortEngine::simulate_jittered(
         mark_dirty(deadline_stream);
         return;
       }
-      sm_load_[static_cast<std::size_t>(cohort_sm_[cid])] -=
-          cohort_count_[cid];
-      resident -= cohort_count_[cid];
+      --sm_load_[static_cast<std::size_t>(cohort_sm_[cid])];
+      --resident;
       free_cohorts_.push_back(static_cast<std::int32_t>(cid));
       ++freed_count;
       freed_sm = cohort_sm_[cid];
@@ -725,9 +611,8 @@ double CohortEngine::simulate_jittered(
       do {
         const auto cid = static_cast<std::size_t>(heap.top_value());
         heap.pop();
-        sm_load_[static_cast<std::size_t>(cohort_sm_[cid])] -=
-            cohort_count_[cid];
-        resident -= cohort_count_[cid];
+        --sm_load_[static_cast<std::size_t>(cohort_sm_[cid])];
+        --resident;
         free_cohorts_.push_back(static_cast<std::int32_t>(cid));
         ++freed_count;
         freed_sm = cohort_sm_[cid];
@@ -744,7 +629,7 @@ double CohortEngine::simulate_jittered(
         do {
           const auto cid = static_cast<std::size_t>(heap.top_value());
           heap.pop();
-          compute_consumers_[stream_id] -= cohort_count_[cid];
+          --compute_consumers_[stream_id];
           cohort_remaining_[cid] &= static_cast<std::uint8_t>(~kComputeBit);
           finish_or_defer(cid);
         } while (!heap.empty() && heap.top_key() <= stream.level);
@@ -752,7 +637,7 @@ double CohortEngine::simulate_jittered(
         do {
           const auto cid = static_cast<std::size_t>(heap.top_value());
           heap.pop();
-          mem_consumers -= cohort_count_[cid];
+          --mem_consumers;
           cohort_remaining_[cid] &= static_cast<std::uint8_t>(~kMemoryBit);
           finish_or_defer(cid);
         } while (!heap.empty() && heap.top_key() <= stream.level);
@@ -761,7 +646,7 @@ double CohortEngine::simulate_jittered(
     mark_dirty(stream_id);
 
     if (freed_count > 0 && pending > 0) {
-      if (freed_count == 1 && !quantized) {
+      if (freed_count == 1) {
         // Steady-state fast path: while blocks are pending the chip was
         // full before this event, so the single freed slot is the unique
         // least-loaded SM — no min scan, no batch machinery. Draw order

@@ -1,11 +1,12 @@
 // The cohort event engine — the fast projection hot path.
 //
-// The original (retained) discrete-event fluid simulator advances every
-// resident block individually: per event it rebuilds consumer counts,
-// allocates a per-SM scratch vector, scans all resident blocks three
-// times, and places pending blocks with an O(num_sms) min_element per
-// block. That is O(events x resident) work with events ~ O(num_blocks) —
-// the wall-clock bottleneck of every projection sweep.
+// The original discrete-event fluid simulator (kept as the test oracle in
+// tests/support/reference_event_sim.h) advances every resident block
+// individually: per event it rebuilds consumer counts, allocates a per-SM
+// scratch vector, scans all resident blocks three times, and places
+// pending blocks with an O(num_sms) min_element per block. That is
+// O(events x resident) work with events ~ O(num_blocks) — the wall-clock
+// bottleneck of every projection sweep.
 //
 // This engine exploits the structure of the fluid model instead:
 //
@@ -38,15 +39,10 @@
 //     clock deadline resolved at the cohort's last demand pop (or by the
 //     deadline heap when the folded demand is what gates retirement), so
 //     non-gating exhaustions cost no events. Jitter draws are batched
-//     through util::Rng::fill_lognormal (bitwise the sequential stream)
-//     and blocks placed at the same instant on the same SM with the same
-//     jitter collapse into one cohort (one heap entry, one retirement) —
-//     with continuous jitter cohorts are singletons, and a
-//     quantized-jitter option (EventSimOptions::jitter_quantum) snaps
-//     draws to a lattice (exp memoized per lattice point, merges found by
-//     an epoch-tagged bucket table) so batches share cohorts at a small,
-//     documented accuracy cost. All scratch is engine-owned and grow-only:
-//     after the first launch on a chip geometry, a whole simulation runs
+//     through util::Rng::fill_lognormal (bitwise the sequential stream),
+//     and every block is a cohort of its own (one heap entry per demand,
+//     one retirement). All scratch is engine-owned and grow-only: after
+//     the first launch on a chip geometry, a whole simulation runs
 //     without touching the allocator (gated by micro_sim's operator-new
 //     counter).
 //
@@ -65,7 +61,7 @@
 namespace grophecy::sim {
 
 /// Demand threshold below which a demand counts as exhausted (shared with
-/// the retained reference engine so the two agree on degeneracy).
+/// the reference engine in tests/support so the two agree on degeneracy).
 inline constexpr double kSimEps = 1e-15;
 
 /// Static per-block demands derived from the kernel characteristics via
@@ -100,12 +96,11 @@ class CohortEngine {
   double simulate_expected(const gpumodel::KernelCharacteristics& kc,
                            const hw::GpuSpec& gpu);
 
-  /// One jittered launch body (no launch overhead added). `jitter_quantum`
-  /// > 0 snaps the lognormal draws to a lattice of that step (in units of
-  /// sigma) so same-jitter placements collapse into cohorts.
+  /// One jittered launch body (no launch overhead added): each block's
+  /// demands scale by a lognormal(1, sigma) draw taken in placement order.
   double simulate_jittered(const gpumodel::KernelCharacteristics& kc,
                            const hw::GpuSpec& gpu, double sigma,
-                           double jitter_quantum, util::Rng& rng);
+                           util::Rng& rng);
 
   const CohortSimStats& stats() const { return stats_; }
 
@@ -126,7 +121,6 @@ class CohortEngine {
   std::vector<double> next_time_;  ///< Lazy next exhaustion time per stream.
   // Cohorts as parallel arrays; retired slots recycle through free_cohorts_.
   std::vector<std::int32_t> cohort_sm_;
-  std::vector<std::int32_t> cohort_count_;
   std::vector<std::uint8_t> cohort_remaining_;  ///< Unexhausted-demand bits.
   std::vector<double> cohort_deadline_;  ///< Folded constant-rate demands.
   std::vector<std::int32_t> free_cohorts_;
@@ -140,18 +134,7 @@ class CohortEngine {
   std::vector<double> compute_inv_rate_;
   std::vector<double> mem_rate_;
   std::vector<double> mem_inv_rate_;
-  // Batched jitter draws and their lattice indices (quantized mode).
-  std::vector<double> draw_;
-  std::vector<std::int32_t> draw_idx_;
-  // Lattice point -> jitter memo: exp() once per distinct point, not per
-  // block. Rebuilt only when the lattice step changes.
-  std::vector<double> lattice_jitter_;
-  double lattice_step_ = 0.0;
-  // Lattice-bucket counting merge: cohort id per (lattice point, SM) cell,
-  // epoch-tagged so invalidating a batch's cells is O(1).
-  std::vector<std::int32_t> bucket_cohort_;
-  std::vector<std::uint32_t> bucket_epoch_;
-  std::uint32_t epoch_ = 0;
+  std::vector<double> draw_;  ///< Jitter draws of one placement batch.
   std::vector<std::size_t> dirty_;
   std::vector<char> dirty_flag_;
 };

@@ -19,18 +19,15 @@
 // tails and jittered blocks show the greedy scheduler's advantage. The
 // projection pipeline can opt in via ProjectionOptions::detailed_sim.
 //
-// Two interchangeable engines implement the fluid model:
-//
-//   * SimEngine::kCohort (default) — the cohort engine in sim/cohort_sim.h:
-//     closed-form generations when jitter is off (bitwise-equal results),
-//     per-stream threshold heaps when it is on. This is the fast path.
-//   * SimEngine::kReference — the original per-block O(events x resident)
-//     loop, retained as the executable specification. The equivalence
-//     suite (tests/sim_equivalence_test.cpp) pins the two together.
+// The cohort engine in sim/cohort_sim.h runs the fluid model: closed-form
+// generations when jitter is off, per-stream threshold heaps when it is
+// on. The original per-block O(events x resident) loop is the executable
+// specification, kept as a test oracle in tests/support/ (with the same
+// constructor, seeds and draw order); tests/sim_equivalence_test.cpp pins
+// the cohort engine to it, bitwise when jitter is off.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "gpumodel/characteristics.h"
 #include "hw/machine.h"
@@ -40,29 +37,15 @@
 
 namespace grophecy::sim {
 
-/// Which fluid-model engine EventGpuSimulator runs.
-enum class SimEngine {
-  kCohort,     ///< Cohort engine (fast path, default).
-  kReference,  ///< Original per-block loop (executable specification).
-};
-
-/// Tuning knobs for EventGpuSimulator. Defaults reproduce the reference
-/// behaviour exactly (bitwise when jitter is off).
-struct EventSimOptions {
-  SimEngine engine = SimEngine::kCohort;
-
-  /// When > 0, jittered runs snap each block's lognormal draw onto a
-  /// lattice with step `jitter_quantum * sigma` in log space, letting
-  /// same-jitter blocks share cohorts (fewer events, small documented
-  /// accuracy cost — see docs/performance.md). 0 keeps draws continuous.
-  double jitter_quantum = 0.0;
-};
+/// No settings remain; kept only while e2ebench/src/replay.cpp passes one.
+struct EventSimOptions {};
 
 /// Fluid discrete-event simulator of a GpuSpec.
 class EventGpuSimulator final : public KernelTimer {
  public:
+  /// The third argument is ignored; e2ebench/src/replay.cpp still passes it.
   EventGpuSimulator(hw::GpuSpec gpu, std::uint64_t seed,
-                    EventSimOptions options = {});
+                    EventSimOptions = {});
 
   /// Deterministic launch time with per-block jitter disabled.
   SimBreakdown expected_launch(const gpumodel::KernelCharacteristics& kc) const;
@@ -71,43 +54,19 @@ class EventGpuSimulator final : public KernelTimer {
   double run_launch_seconds(const gpumodel::KernelCharacteristics& kc) override;
 
   const hw::GpuSpec& gpu() const { return gpu_; }
-  const EventSimOptions& options() const { return options_; }
 
-  /// Counters from the cohort engine's most recent simulation (zeroed
-  /// while the reference engine is selected). For benches and tests.
+  /// Counters from the cohort engine's most recent simulation. For
+  /// benches and tests.
   const CohortSimStats& last_stats() const { return engine_.stats(); }
 
  private:
-  /// One resident block's remaining demands (reference engine).
-  struct RunningBlock {
-    int sm = 0;
-    double compute_left = 0.0;
-    double memory_left = 0.0;
-    double floor_left = 0.0;
-
-    bool done() const {
-      return compute_left <= kSimEps && memory_left <= kSimEps &&
-             floor_left <= kSimEps;
-    }
-  };
-
   /// Core fluid simulation; block_jitter_sigma = 0 gives the expectation.
   double simulate(const gpumodel::KernelCharacteristics& kc,
                   double block_jitter_sigma, util::Rng* rng) const;
 
-  /// The retained reference engine (SimEngine::kReference).
-  double simulate_reference(const gpumodel::KernelCharacteristics& kc,
-                            double block_jitter_sigma, util::Rng* rng) const;
-
   hw::GpuSpec gpu_;
   util::Rng rng_;
-  EventSimOptions options_;
   mutable CohortEngine engine_;
-  // Reference-engine scratch, hoisted so repeated simulations (calibration
-  // sweeps run thousands) do not reallocate per call.
-  mutable std::vector<int> sm_load_;
-  mutable std::vector<RunningBlock> running_;
-  mutable std::vector<int> compute_consumers_;
 };
 
 }  // namespace grophecy::sim

@@ -23,10 +23,10 @@
 #include <set>
 #include <vector>
 
-#include "brs/reference_section_set.h"
 #include "brs/section.h"
 #include "brs/section_set.h"
 #include "skeleton/skeleton.h"
+#include "support/reference_section_set.h"
 #include "util/rng.h"
 
 namespace grophecy::brs {

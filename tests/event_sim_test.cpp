@@ -10,6 +10,7 @@
 #include "sim/event_sim.h"
 #include "sim/gpu_sim.h"
 #include "skeleton/builder.h"
+#include "support/reference_event_sim.h"
 #include "workloads/srad.h"
 #include "workloads/workload.h"
 
@@ -42,10 +43,7 @@ TEST(EventSim, EngineFlagSelectsReferenceWithIdenticalExpectation) {
   const auto app = streaming_app(1 << 20);
   const KernelCharacteristics kc = characterize_first(app);
   EventGpuSimulator fast(g80(), 1);
-  EventGpuSimulator reference(g80(), 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
-  EXPECT_EQ(fast.options().engine, SimEngine::kCohort);
-  EXPECT_EQ(reference.options().engine, SimEngine::kReference);
+  ReferenceEventSimulator reference(g80(), 1);
   // Jitter-free results are bitwise-equal across engines (the dedicated
   // equivalence suite covers randomized shapes and the jittered paths).
   EXPECT_EQ(fast.expected_launch(kc).total_s,

@@ -249,8 +249,8 @@ TEST(MachineRegistry, GlobalFleetSpansPcieGen1ToGen5) {
     EXPECT_EQ(generations.count(generation), 1u)
         << "no machine with a PCIe gen" << generation << " bus";
 
-  // machine_by_name resolves the whole fleet, not just the builtins.
-  EXPECT_EQ(machine_by_name("hopper_h100").pcie.generation, 5);
+  // find resolves the whole fleet, not just the builtins.
+  EXPECT_EQ(registry.find("hopper_h100").pcie.generation, 5);
 }
 
 // --- the cross-machine sweep axis ---

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "hw/machine_registry.h"
 #include "hw/registry.h"
 #include "pcie/bus.h"
 #include "pcie/calibrator.h"
@@ -18,7 +19,7 @@ namespace grophecy {
 namespace {
 
 TEST(Registry, MachinesAreDistinctAndSane) {
-  const auto machines = hw::all_machines();
+  const auto machines = hw::builtin_machines();
   ASSERT_EQ(machines.size(), 3u);
   for (const hw::MachineSpec& m : machines) {
     EXPECT_GT(m.cpu.peak_gflops(), 0.0);
@@ -26,12 +27,13 @@ TEST(Registry, MachinesAreDistinctAndSane) {
     EXPECT_GT(m.gpu.mem_bandwidth_gbps, m.cpu.mem_bandwidth_gbps);
     EXPECT_GT(m.pcie.pinned_h2d.asymptotic_gbps, 0.0);
   }
-  EXPECT_EQ(hw::machine_by_name("anl_eureka").name, "anl_eureka");
+  const hw::MachineRegistry& registry = hw::MachineRegistry::global();
+  EXPECT_EQ(registry.find("anl_eureka").name, "anl_eureka");
   // Lookup follows the workloads::find_workload contract: bad input is a
   // UsageError (not a ContractViolation) whose message lists the fleet.
   try {
-    hw::machine_by_name("nope");
-    FAIL() << "machine_by_name(\"nope\") did not throw";
+    registry.find("nope");
+    FAIL() << "find(\"nope\") did not throw";
   } catch (const UsageError& error) {
     EXPECT_NE(std::string(error.what()).find("anl_eureka"),
               std::string::npos)
@@ -52,7 +54,7 @@ TEST(Registry, PcieGenerationsScaleAsDocumented) {
 TEST(Portability, CalibrationAdaptsAcrossMachines) {
   // "The PCIe bus model is constructed automatically for each new system":
   // calibrated bandwidth must track each machine's physical link.
-  for (const hw::MachineSpec& machine : hw::all_machines()) {
+  for (const hw::MachineSpec& machine : hw::builtin_machines()) {
     pcie::SimulatedBus bus(machine.pcie, 5);
     const pcie::BusModel model = pcie::TransferCalibrator().calibrate(bus);
     const double predicted_64mb = model.predict_seconds(
@@ -81,7 +83,7 @@ TEST(Portability, FasterBusMovesTheSameDataFaster) {
 
 TEST(Portability, PipelineRunsOnEveryMachine) {
   const auto all = workloads::paper_workloads();
-  for (const hw::MachineSpec& machine : hw::all_machines()) {
+  for (const hw::MachineSpec& machine : hw::builtin_machines()) {
     core::ExperimentRunner runner(machine);
     const core::ProjectionReport report =
         runner.run(*all[1], all[1]->paper_data_sizes()[1]);

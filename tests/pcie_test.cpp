@@ -254,7 +254,7 @@ TEST(LinearModel, SpecDerivedModelMatchesTheSpec) {
 TEST(Calibrator, WorksOnEveryRegisteredMachine) {
   // The paper: "The PCIe bus model is constructed automatically for each
   // new system."
-  for (const hw::MachineSpec& machine : hw::all_machines()) {
+  for (const hw::MachineSpec& machine : hw::builtin_machines()) {
     SimulatedBus bus(machine.pcie, 3);
     const BusModel model = TransferCalibrator().calibrate(bus);
     EXPECT_NEAR(model.h2d.bandwidth_gbps(),

@@ -1,13 +1,13 @@
-// Equivalence suite: the cohort event engine vs the retained reference
-// engine. Jitter-free results must match BITWISE (the cohort engine
+// Equivalence suite: the cohort event engine vs the reference engine in
+// tests/support. Jitter-free results must match BITWISE (the cohort engine
 // replays the reference's exact floating-point expressions in the same
 // event order); jittered results must match per-run to rounding accuracy
 // (same placement policy, same draw order, different but equivalent
-// arithmetic) and distributionally; the quantized-jitter option must
-// actually share cohorts while staying close to the continuous answer.
+// arithmetic) and distributionally.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "gpumodel/characteristics.h"
@@ -15,6 +15,7 @@
 #include "hw/registry.h"
 #include "sim/cohort_sim.h"
 #include "sim/event_sim.h"
+#include "support/reference_event_sim.h"
 #include "util/rng.h"
 
 namespace grophecy::sim {
@@ -76,8 +77,7 @@ bool feasible(const KernelCharacteristics& kc, const hw::GpuSpec& gpu) {
 TEST(SimEquivalence, JitterFreeIsBitwiseEqualOnRandomKernels) {
   const hw::GpuSpec gpu = g80();
   EventGpuSimulator cohort(gpu, 1);
-  EventGpuSimulator reference(gpu, 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1);
   util::Rng rng(2024);
   int tested = 0;
   for (int i = 0; i < 200; ++i) {
@@ -96,8 +96,7 @@ TEST(SimEquivalence, JitterFreeIsBitwiseEqualOnRandomKernels) {
 TEST(SimEquivalence, JitterFreeCoversPartialAndDegenerateShapes) {
   const hw::GpuSpec gpu = g80();
   EventGpuSimulator cohort(gpu, 1);
-  EventGpuSimulator reference(gpu, 1,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1);
 
   KernelCharacteristics kc;
   kc.kernel_name = "shapes";
@@ -140,24 +139,32 @@ TEST(SimEquivalence, JitteredRunsTrackTheReferencePerRun) {
   KernelCharacteristics kc;
   kc.kernel_name = "jittered";
   kc.variant.block_size = 256;
-  kc.regs_per_thread = 12;
   kc.num_blocks = 2000;
   kc.flops_per_thread = 80.0;
   MemAccess access;
   access.count_per_thread = 2.0;
   kc.accesses.push_back(access);
 
-  // Same seed => same per-block draw sequence (identical placement order),
-  // so each run pair simulates the same jittered workload. The engines'
-  // arithmetic differs (drain-level coordinates vs per-event decrements),
-  // so allow rounding-scale drift only.
-  EventGpuSimulator cohort(gpu, 99);
-  EventGpuSimulator reference(gpu, 99,
-                              EventSimOptions{SimEngine::kReference, 0.0});
-  for (int run = 0; run < 20; ++run) {
-    const double fast = cohort.run_launch_seconds(kc);
-    const double slow = reference.run_launch_seconds(kc);
-    EXPECT_NEAR(fast, slow, std::abs(slow) * 1e-9) << "run " << run;
+  // 12 registers fit two blocks per SM (the general loop); 32 registers
+  // use all 8,192 of an SM's registers, so one block fits (the solo path).
+  for (const auto& [regs, blocks_per_sm] :
+       {std::pair{12u, 2}, std::pair{32u, 1}}) {
+    kc.regs_per_thread = regs;
+    ASSERT_EQ(gpumodel::compute_occupancy(gpu, kc.variant.block_size, regs, 0)
+                  .blocks_per_sm,
+              blocks_per_sm);
+    // Same seed => same per-block draw sequence (identical placement
+    // order), so each run pair simulates the same jittered workload. The
+    // engines' arithmetic differs (drain-level coordinates vs per-event
+    // decrements), so allow rounding-scale drift only.
+    EventGpuSimulator cohort(gpu, 99);
+    ReferenceEventSimulator reference(gpu, 99);
+    for (int run = 0; run < 20; ++run) {
+      const double fast = cohort.run_launch_seconds(kc);
+      const double slow = reference.run_launch_seconds(kc);
+      EXPECT_NEAR(fast, slow, std::abs(slow) * 1e-9)
+          << "regs " << regs << " run " << run;
+    }
   }
 }
 
@@ -175,7 +182,7 @@ TEST(SimEquivalence, JitteredDistributionsAgree) {
   kc.accesses.push_back(access);
 
   // Different seeds per engine: only the distributions should agree.
-  auto stats = [&](EventGpuSimulator& sim) {
+  auto stats = [&](KernelTimer& sim) {
     double mean = 0.0, m2 = 0.0;
     const int n = 150;
     for (int i = 1; i <= n; ++i) {
@@ -187,55 +194,19 @@ TEST(SimEquivalence, JitteredDistributionsAgree) {
     return std::pair<double, double>{mean, std::sqrt(m2 / (n - 1))};
   };
   EventGpuSimulator cohort(gpu, 7);
-  EventGpuSimulator reference(gpu, 1234,
-                              EventSimOptions{SimEngine::kReference, 0.0});
+  ReferenceEventSimulator reference(gpu, 1234);
   const auto [fast_mean, fast_sd] = stats(cohort);
   const auto [slow_mean, slow_sd] = stats(reference);
   EXPECT_NEAR(fast_mean, slow_mean, 0.03 * slow_mean);
   EXPECT_NEAR(fast_sd, slow_sd, 0.5 * slow_sd);
 }
 
-TEST(SimEquivalence, QuantizedJitterSharesCohortsAndStaysClose) {
+TEST(SimEquivalence, ContinuousJitterGivesEveryBlockItsOwnCohort) {
+  // No two blocks share a cohort: each non-degenerate block opens its own
+  // and retires alone, over one placement batch or many.
   const hw::GpuSpec gpu = g80();
   KernelCharacteristics kc;
-  kc.kernel_name = "quantized";
-  kc.variant.block_size = 128;
-  kc.regs_per_thread = 10;
-  kc.num_blocks = 3000;
-  kc.flops_per_thread = 60.0;
-  MemAccess access;
-  kc.accesses.push_back(access);
-
-  auto mean_of = [&](EventGpuSimulator& sim) {
-    double mean = 0.0;
-    const int n = 60;
-    for (int i = 1; i <= n; ++i)
-      mean += (sim.run_launch_seconds(kc) - mean) / i;
-    return mean;
-  };
-  EventGpuSimulator continuous(gpu, 5);
-  EventGpuSimulator quantized(gpu, 5,
-                              EventSimOptions{SimEngine::kCohort, 0.5});
-  const double continuous_mean = mean_of(continuous);
-  const double quantized_mean = mean_of(quantized);
-  EXPECT_NEAR(quantized_mean, continuous_mean, 0.05 * continuous_mean);
-
-  // The lattice must actually merge draws into shared cohorts.
-  (void)quantized.run_launch_seconds(kc);
-  const CohortSimStats& stats = quantized.last_stats();
-  EXPECT_EQ(stats.blocks, kc.num_blocks);
-  EXPECT_LT(stats.cohorts, static_cast<std::uint64_t>(kc.num_blocks));
-}
-
-TEST(SimEquivalence, QuantizedCohortsBoundedByLatticePointsPerSm) {
-  // Structural property of the counting merge: within one placement
-  // batch, blocks landing on the same SM with the same lattice point
-  // share one cohort. A single full wave is placed as ONE batch, so its
-  // cohort count is bounded by (distinct lattice points) x num_sms —
-  // with a coarse quantum that is far below the block count.
-  const hw::GpuSpec gpu = g80();
-  KernelCharacteristics kc;
-  kc.kernel_name = "lattice-bound";
+  kc.kernel_name = "singletons";
   kc.variant.block_size = 128;
   kc.regs_per_thread = 10;
   kc.flops_per_thread = 60.0;
@@ -246,35 +217,21 @@ TEST(SimEquivalence, QuantizedCohortsBoundedByLatticePointsPerSm) {
       gpu, kc.variant.block_size, kc.regs_per_thread, 0);
   const std::int64_t capacity =
       static_cast<std::int64_t>(occ.blocks_per_sm) * gpu.num_sms;
-  kc.num_blocks = capacity;  // exactly one wave: a single placement batch
-
-  const double quantum = 4.0;  // lattice step of 4 sigma: a handful of points
-  EventGpuSimulator quantized(gpu, 21,
-                              EventSimOptions{SimEngine::kCohort, quantum});
-  (void)quantized.run_launch_seconds(kc);
-  const CohortSimStats& stats = quantized.last_stats();
-  EXPECT_EQ(stats.blocks, capacity);
-  // Practically every standard-normal draw lies within |z| <= 6, i.e.
-  // round(z / quantum) spans at most 2 * ceil(6 / quantum) + 1 points
-  // (the seed is fixed, so this is deterministic, not flaky).
-  const std::uint64_t points =
-      2 * static_cast<std::uint64_t>(std::ceil(6.0 / quantum)) + 1;
-  EXPECT_LE(stats.cohorts, points * static_cast<std::uint64_t>(gpu.num_sms));
-  EXPECT_LT(stats.cohorts, static_cast<std::uint64_t>(capacity));
-
-  // Continuous jitter on the same shape shares nothing: every
-  // non-degenerate block is its own singleton cohort.
-  EventGpuSimulator continuous(gpu, 21);
-  (void)continuous.run_launch_seconds(kc);
-  EXPECT_EQ(continuous.last_stats().cohorts,
-            static_cast<std::uint64_t>(capacity));
+  // Exactly one wave (a single placement batch), then a ragged multiple.
+  for (const std::int64_t blocks : {capacity, 3 * capacity + 7}) {
+    kc.num_blocks = blocks;
+    EventGpuSimulator continuous(gpu, 21);
+    (void)continuous.run_launch_seconds(kc);
+    EXPECT_EQ(continuous.last_stats().blocks, blocks);
+    EXPECT_EQ(continuous.last_stats().cohorts,
+              static_cast<std::uint64_t>(blocks));
+  }
 }
 
-TEST(SimEquivalence, QuantizedRunsAreDeterministicAndIsolated) {
-  // Same seed => bitwise-identical run sequence, and the epoch-tagged
-  // bucket table must not leak merges across runs or across kernels (a
-  // stale cell from a previous launch merging a new block would corrupt
-  // both the count and the physics).
+TEST(SimEquivalence, JitteredRunsAreDeterministicAndIsolated) {
+  // Same seed => bitwise-identical run sequence, and the engine-owned
+  // scratch a launch leaves behind (heaps, cohort slots, rate tables) must
+  // not leak into the next launch of another shape.
   const hw::GpuSpec gpu = g80();
   KernelCharacteristics kc;
   kc.kernel_name = "iso";
@@ -290,20 +247,32 @@ TEST(SimEquivalence, QuantizedRunsAreDeterministicAndIsolated) {
   other.variant.block_size = 64;
   other.num_blocks = 700;
 
-  const EventSimOptions opts{SimEngine::kCohort, 0.5};
-  EventGpuSimulator plain(gpu, 31, opts);
-  EventGpuSimulator interleaved(gpu, 31, opts);
+  EventGpuSimulator first(gpu, 31);
+  EventGpuSimulator second(gpu, 31);
   for (int run = 0; run < 5; ++run) {
-    const double a = plain.run_launch_seconds(kc);
-    const double b = interleaved.run_launch_seconds(kc);
+    const double a = first.run_launch_seconds(kc);
+    const double b = second.run_launch_seconds(kc);
     EXPECT_EQ(a, b) << "run " << run;
-    // Burn the same number of draws on both sides so the streams stay in
-    // lockstep, but through a different kernel shape on one engine: its
-    // buckets, lattice memo, and scratch get churned between runs.
-    const double oa = plain.run_launch_seconds(other);
-    const double ob = interleaved.run_launch_seconds(other);
+    const double oa = first.run_launch_seconds(other);
+    const double ob = second.run_launch_seconds(other);
     EXPECT_EQ(oa, ob) << "run " << run;
   }
+
+  // An engine churned by other shapes answers bitwise like a fresh one
+  // given the same draw stream.
+  const double sigma = gpu.timing_jitter_sigma;
+  CohortEngine churned;
+  util::Rng churn_rng(77);
+  KernelCharacteristics solo = kc;
+  solo.variant.block_size = 256;
+  solo.regs_per_thread = 32;  // one block per SM: the solo path
+  for (const KernelCharacteristics* shape : {&other, &solo, &other})
+    (void)churned.simulate_jittered(*shape, gpu, sigma, churn_rng);
+  CohortEngine fresh;
+  util::Rng churned_rng(31);
+  util::Rng fresh_rng(31);
+  EXPECT_EQ(churned.simulate_jittered(kc, gpu, sigma, churned_rng),
+            fresh.simulate_jittered(kc, gpu, sigma, fresh_rng));
 }
 
 TEST(SimEquivalence, CohortStatsReflectTheLastSimulation) {

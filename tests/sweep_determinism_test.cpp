@@ -326,7 +326,10 @@ TEST(SweepDeterminism, ChaosSweepUnder8WorkersResumesToFaultFreeAnswer) {
   options.workers = 8;
   options.journal_path = journal.path();
   options.max_retries = 1;
-  options.deadline_s = 0.05;
+  // Healthy attempts (microseconds of work plus a thread start) stay far
+  // inside the deadline even under sanitizers on a loaded machine, and
+  // the scripted hang below (capped at 1 s) outlasts it four times over.
+  options.deadline_s = 0.25;
 
   // The real injection stack scripts the faults. Probabilistic plan +
   // per-job injector stream keyed off the spec keeps the chaos itself
@@ -355,7 +358,7 @@ TEST(SweepDeterminism, ChaosSweepUnder8WorkersResumesToFaultFreeAnswer) {
             util::kMiB, hw::Direction::kHostToDevice, hw::HostMemory::kPinned);
         hung.fetch_add(1);
         std::this_thread::sleep_for(
-            std::chrono::duration<double>(std::min(simulated_s, 0.2)));
+            std::chrono::duration<double>(std::min(simulated_s, 1.0)));
       }
       return fake_report(spec);
     });
@@ -371,9 +374,13 @@ TEST(SweepDeterminism, ChaosSweepUnder8WorkersResumesToFaultFreeAnswer) {
   }
 
   {  // Run 2: faults cleared; only the timed-out jobs re-execute, and the
-     // final table equals the fault-free reference everywhere.
+     // final table equals the fault-free reference everywhere. The deadline
+     // is not under test here: a generous one keeps the attempts supervised
+     // while a slow thread start on a loaded machine cannot time them out.
+    SweepOptions resume_options = options;
+    resume_options.deadline_s = 30.0;
     std::atomic<int> executed{0};
-    SweepEngine engine(options);
+    SweepEngine engine(resume_options);
     const SweepSummary resumed = engine.run(jobs, [&](const JobSpec& spec) {
       executed.fetch_add(1);
       EXPECT_EQ(spec.size_label, "size1");
