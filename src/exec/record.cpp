@@ -172,6 +172,22 @@ JobRecord JobRecord::from_report(const JobSpec& spec,
   return record;
 }
 
+JobRecord JobRecord::from_error(const JobSpec& spec, const JobError& error,
+                                int attempts, double elapsed_s) {
+  JobRecord record;
+  record.fingerprint = spec.fingerprint();
+  record.workload = spec.workload;
+  record.size_label = spec.size_label;
+  record.iterations = spec.iterations;
+  record.status = RecordStatus::kFailed;
+  record.attempts = attempts;
+  record.elapsed_s = elapsed_s;
+  record.error_kind = error.kind;
+  record.error_message = error.message;
+  record.machine = spec.machine;
+  return record;
+}
+
 core::ProjectionReport JobRecord::to_report() const {
   core::ProjectionReport report;
   report.app_name = workload + " " + size_label;

@@ -464,23 +464,9 @@ SweepSummary SweepEngine::run_sharded(const std::vector<JobSpec>& jobs,
   SweepSummary summary;
   summary.outcomes.reserve(jobs.size());
 
-  // Canonical journal: the resume baseline. Later records win, exactly
-  // as in run_unique.
-  std::map<std::string, JobRecord> canonical;
-  if (!options_.journal_path.empty()) {
-    JournalReadResult previous = ResultJournal::read(options_.journal_path);
-    summary.journal_path = options_.journal_path;
-    summary.journal_corrupt_lines = previous.corrupt_lines;
-    summary.journal_corrupt_interior = previous.corrupt_interior;
-    for (const std::string& payload : previous.records) {
-      if (auto record = JobRecord::from_json(payload)) {
-        canonical[record->fingerprint] = std::move(*record);
-      } else {
-        ++summary.journal_corrupt_lines;
-        ++summary.journal_corrupt_interior;
-      }
-    }
-  }
+  // Canonical journal: the resume baseline, read exactly as run_unique
+  // reads it.
+  std::map<std::string, JobRecord> canonical = read_journal(summary);
 
   // Shard recovery: results a previous (killed) supervisor's workers made
   // durable but never merged. A torn shard tail is the expected crash
@@ -625,14 +611,8 @@ SweepSummary SweepEngine::run_sharded(const std::vector<JobSpec>& jobs,
                         job_result.death_message.c_str())
                   : util::strfmt("job %s not run: %s", spec.key().c_str(),
                                  job_result.death_message.c_str());
-          outcome.record.fingerprint = fingerprint;
-          outcome.record.workload = spec.workload;
-          outcome.record.size_label = spec.size_label;
-          outcome.record.iterations = spec.iterations;
-          outcome.record.status = RecordStatus::kFailed;
-          outcome.record.attempts = outcome.attempts;
-          outcome.record.error_kind = error.kind;
-          outcome.record.error_message = error.message;
+          outcome.record =
+              JobRecord::from_error(spec, error, outcome.attempts, 0.0);
           outcome.error = std::move(error);
           merge_append(outcome.record.to_json());
           if (job_result.status == ShardJobStatus::kQuarantined)
@@ -642,16 +622,7 @@ SweepSummary SweepEngine::run_sharded(const std::vector<JobSpec>& jobs,
       }
     }
 
-    switch (outcome.status) {
-      case JobStatus::kOk: ++summary.ok; break;
-      case JobStatus::kResumed: ++summary.resumed; break;
-      case JobStatus::kDeduped: ++summary.deduped; break;
-      case JobStatus::kFailed: ++summary.failed; break;
-    }
-    if (outcome.attempts > 1) ++summary.retried;
-    summary.attempts += outcome.attempts;
-    summary.backoff_total_s += outcome.backoff_s;
-    summary.degraded |= outcome.record.calibration_fallback;
+    tally(summary, outcome);
     summary.outcomes.push_back(std::move(outcome));
   }
 

@@ -54,6 +54,7 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -77,8 +78,9 @@ struct JobSpec {
   /// A non-empty name joins the identity (key, fingerprint, stream
   /// seed), so the same grid point on two machines is two distinct
   /// jobs; an empty one leaves all three byte-identical to the
-  /// single-machine era, which keeps old journals resumable.
-  std::string machine;
+  /// single-machine era, which keeps old journals resumable. Initialized
+  /// so that JobSpec{workload, size, iterations} names no machine.
+  std::string machine = {};
 
   /// Human-readable identity, e.g. "CFD/97K/x1" — or
   /// "CFD/97K/x1@volta_v100" when a machine is named.
@@ -160,6 +162,10 @@ struct JobRecord {
   static JobRecord from_report(const JobSpec& spec,
                                const core::ProjectionReport& report,
                                int attempts, double elapsed_s);
+  /// Snapshot of a permanently failed job: the spec's identity (machine
+  /// included) and the final error.
+  static JobRecord from_error(const JobSpec& spec, const JobError& error,
+                              int attempts, double elapsed_s);
 
   /// Reconstructs a ProjectionReport holding the journaled scalars. All
   /// derived metrics (speedups, errors, limits) match the original
@@ -414,6 +420,14 @@ class SweepEngine {
   /// run_unique for shards > 0: forks workers, supervises them, merges
   /// shard journals (exec/shard/supervisor.h).
   SweepSummary run_sharded(const std::vector<JobSpec>& jobs, const JobFn& fn);
+  /// The journal's parseable records by fingerprint (later records win),
+  /// with its path and corruption counts folded into `summary`. Empty
+  /// without a journal_path.
+  std::map<std::string, JobRecord> read_journal(SweepSummary& summary) const;
+  /// Folds one committed outcome into the summary counters. Called in
+  /// submission order only, so the counters are identical for any worker
+  /// or shard count.
+  static void tally(SweepSummary& summary, const JobOutcome& outcome);
 
   SweepOptions options_;
   AttemptRunner attempts_;

@@ -55,30 +55,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Folds one committed outcome into the summary counters. Called in
-/// submission order only, so the resulting summary is identical for any
-/// worker count.
-void tally(SweepSummary& summary, const JobOutcome& outcome) {
-  switch (outcome.status) {
-    case JobStatus::kOk:
-      ++summary.ok;
-      break;
-    case JobStatus::kResumed:
-      ++summary.resumed;
-      break;
-    case JobStatus::kDeduped:
-      ++summary.deduped;
-      break;
-    case JobStatus::kFailed:
-      ++summary.failed;
-      break;
-  }
-  if (outcome.attempts > 1) ++summary.retried;
-  summary.attempts += outcome.attempts;
-  summary.backoff_total_s += outcome.backoff_s;
-  summary.degraded |= outcome.record.calibration_fallback;
-}
-
 }  // namespace
 
 void SweepOptions::validate() const {
@@ -105,6 +81,27 @@ void SweepOptions::validate() const {
           util::strfmt("must be positive, got %g", heartbeat_timeout_s));
   require(poison_kill_threshold >= 1, "poison_kill_threshold",
           util::strfmt("must be >= 1, got %d", poison_kill_threshold));
+}
+
+void SweepEngine::tally(SweepSummary& summary, const JobOutcome& outcome) {
+  switch (outcome.status) {
+    case JobStatus::kOk:
+      ++summary.ok;
+      break;
+    case JobStatus::kResumed:
+      ++summary.resumed;
+      break;
+    case JobStatus::kDeduped:
+      ++summary.deduped;
+      break;
+    case JobStatus::kFailed:
+      ++summary.failed;
+      break;
+  }
+  if (outcome.attempts > 1) ++summary.retried;
+  summary.attempts += outcome.attempts;
+  summary.backoff_total_s += outcome.backoff_s;
+  summary.degraded |= outcome.record.calibration_fallback;
 }
 
 AttemptResult AttemptRunner::run(const JobSpec& spec, const JobFn& fn,
@@ -228,16 +225,9 @@ JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
                                             outcome.attempts,
                                             recorded_elapsed);
   } else {
-    outcome.record.fingerprint = spec.fingerprint();
-    outcome.record.workload = spec.workload;
-    outcome.record.size_label = spec.size_label;
-    outcome.record.iterations = spec.iterations;
-    outcome.record.status = RecordStatus::kFailed;
-    outcome.record.attempts = outcome.attempts;
-    outcome.record.elapsed_s = recorded_elapsed;
-    outcome.record.error_kind = outcome.error->kind;
-    outcome.record.error_message = outcome.error->message;
-    outcome.record.machine = spec.machine;
+    outcome.record = JobRecord::from_error(spec, *outcome.error,
+                                           outcome.attempts,
+                                           recorded_elapsed);
   }
   return outcome;
 }
@@ -308,26 +298,10 @@ SweepSummary SweepEngine::run_unique(const std::vector<JobSpec>& jobs,
 
   // Load whatever a previous (possibly killed) run journaled. Later
   // records win, so a re-run of a previously failed job supersedes it.
-  std::map<std::string, JobRecord> journaled;
+  const std::map<std::string, JobRecord> journaled = read_journal(summary);
   ResultJournal journal;
-  if (!options_.journal_path.empty()) {
-    JournalReadResult previous = ResultJournal::read(options_.journal_path);
-    summary.journal_path = options_.journal_path;
-    summary.journal_corrupt_lines = previous.corrupt_lines;
-    summary.journal_corrupt_interior = previous.corrupt_interior;
-    for (const std::string& payload : previous.records) {
-      if (auto record = JobRecord::from_json(payload)) {
-        journaled[record->fingerprint] = std::move(*record);
-      } else {
-        // A line whose checksum verified but whose payload no longer
-        // parses cannot be a torn tail either — count it as interior
-        // damage so describe() warns.
-        ++summary.journal_corrupt_lines;
-        ++summary.journal_corrupt_interior;
-      }
-    }
+  if (!options_.journal_path.empty())
     journal.open_append(options_.journal_path);
-  }
 
   // Resume decisions are made up front (deterministically, in submission
   // order): a journaled success is replayed, not re-measured. Failed
@@ -434,6 +408,28 @@ SweepSummary SweepEngine::run_unique(const std::vector<JobSpec>& jobs,
 
   for (std::thread& thread : pool) thread.join();
   return summary;
+}
+
+std::map<std::string, JobRecord> SweepEngine::read_journal(
+    SweepSummary& summary) const {
+  std::map<std::string, JobRecord> records;
+  if (options_.journal_path.empty()) return records;
+  JournalReadResult previous = ResultJournal::read(options_.journal_path);
+  summary.journal_path = options_.journal_path;
+  summary.journal_corrupt_lines = previous.corrupt_lines;
+  summary.journal_corrupt_interior = previous.corrupt_interior;
+  for (const std::string& payload : previous.records) {
+    if (auto record = JobRecord::from_json(payload)) {
+      records[record->fingerprint] = std::move(*record);
+    } else {
+      // A line whose checksum verified but whose payload no longer
+      // parses cannot be a torn tail either — count it as interior
+      // damage so describe() warns.
+      ++summary.journal_corrupt_lines;
+      ++summary.journal_corrupt_interior;
+    }
+  }
+  return records;
 }
 
 const JobOutcome* SweepSummary::find(const JobSpec& spec) const {

@@ -64,7 +64,7 @@ namespace {
 /// is pure silence — alive to waitpid, dead to heartbeats.
 [[noreturn]] void spin_forever() {
   volatile unsigned long long spin = 0;
-  for (;;) ++spin;
+  for (;;) spin = spin + 1;
 }
 
 }  // namespace

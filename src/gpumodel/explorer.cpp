@@ -10,38 +10,6 @@ namespace grophecy::gpumodel {
 
 namespace {
 
-/// Projection memo capacity; beyond it the memo is flushed wholesale.
-/// Distinct characteristics per kernel are few (variants frequently
-/// collapse — unroll past the loop count, staging with nothing to stage),
-/// so a flush only fires on sweeps over very many distinct kernels.
-constexpr std::size_t kProjectionMemoCap = 512;
-
-/// Flattens the model-relevant characteristics into an exact memo key.
-/// Excludes kernel_name, Variant, syncs_per_thread, work_per_thread, and
-/// redundant_work_fraction: project() never reads them (their effect is
-/// already folded into the instruction/access counts by characterize()).
-std::vector<double> projection_key(const KernelCharacteristics& kc) {
-  std::vector<double> key;
-  key.reserve(8 + kc.accesses.size() * 6);
-  key.push_back(static_cast<double>(kc.num_blocks));
-  key.push_back(static_cast<double>(kc.variant.block_size));
-  key.push_back(static_cast<double>(kc.regs_per_thread));
-  key.push_back(static_cast<double>(kc.smem_per_block_bytes));
-  key.push_back(kc.flops_per_thread);
-  key.push_back(kc.special_per_thread);
-  key.push_back(kc.index_insts_per_thread);
-  key.push_back(static_cast<double>(kc.accesses.size()));
-  for (const MemAccess& access : kc.accesses) {
-    key.push_back(static_cast<double>(static_cast<int>(access.cls)));
-    key.push_back(access.is_load ? 1.0 : 0.0);
-    key.push_back(static_cast<double>(access.stride_elems));
-    key.push_back(static_cast<double>(access.elem_bytes));
-    key.push_back(access.count_per_thread);
-    key.push_back(access.gathered_stream ? 1.0 : 0.0);
-  }
-  return key;
-}
-
 /// Shared enumeration order of explore() and best(): identical sequences
 /// keep best() equivalent to min_element over explore().
 template <typename Fn>
@@ -113,20 +81,6 @@ Occupancy Explorer::occupancy_for(const KernelCharacteristics& kc) const {
   return occ;
 }
 
-const KernelTimeBreakdown* Explorer::find_projection(
-    const std::vector<double>& key) const {
-  for (const ProjectionMemoEntry& entry : projection_memo_)
-    if (entry.key == key) return &entry.time;
-  return nullptr;
-}
-
-void Explorer::remember_projection(std::vector<double> key,
-                                   const KernelTimeBreakdown& time) const {
-  if (projection_memo_.size() >= kProjectionMemoCap)
-    projection_memo_.clear();
-  projection_memo_.push_back(ProjectionMemoEntry{std::move(key), time});
-}
-
 std::vector<ProjectedKernel> Explorer::explore(
     const skeleton::AppSkeleton& app, const skeleton::KernelSkeleton& kernel,
     int fuse_iterations) const {
@@ -141,18 +95,9 @@ std::vector<ProjectedKernel> Explorer::explore(
         ProjectedKernel projected;
         projected.variant = variant;
         projected.characteristics = characterize(app, kernel, variant, gpu);
-
-        std::vector<double> key = projection_key(projected.characteristics);
-        if (const KernelTimeBreakdown* cached = find_projection(key)) {
-          ++stats_.projection_hits;
-          projected.time = *cached;
-        } else {
-          ++stats_.projection_misses;
-          projected.time = model_.project(
-              projected.characteristics,
-              occupancy_for(projected.characteristics));
-          remember_projection(std::move(key), projected.time);
-        }
+        projected.time =
+            model_.project(projected.characteristics,
+                           occupancy_for(projected.characteristics));
         if (!projected.time.feasible) {
           ++stats_.infeasible;
           return;
@@ -178,25 +123,16 @@ ProjectedKernel Explorer::best(const skeleton::AppSkeleton& app,
         ProjectedKernel projected;
         projected.variant = variant;
         projected.characteristics = characterize(app, kernel, variant, gpu);
-
-        std::vector<double> key = projection_key(projected.characteristics);
-        if (const KernelTimeBreakdown* cached = find_projection(key)) {
-          ++stats_.projection_hits;
-          projected.time = *cached;
-        } else {
-          ++stats_.projection_misses;
-          const auto time = model_.project_if_below(
-              projected.characteristics,
-              occupancy_for(projected.characteristics), cutoff);
-          if (!time) {
-            // A single bound already reached the incumbent: the variant
-            // cannot win, and its partial projection is not memoizable.
-            ++stats_.pruned;
-            return;
-          }
-          projected.time = *time;
-          remember_projection(std::move(key), projected.time);
+        const auto time = model_.project_if_below(
+            projected.characteristics,
+            occupancy_for(projected.characteristics), cutoff);
+        if (!time) {
+          // A single bound already reached the incumbent: the variant
+          // cannot win.
+          ++stats_.pruned;
+          return;
         }
+        projected.time = *time;
         if (!projected.time.feasible) {
           ++stats_.infeasible;
           return;

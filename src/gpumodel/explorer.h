@@ -8,18 +8,18 @@
 // because its payoff depends on the iteration count.
 //
 // The exploration loop is a projection hot path (sweeps call best() for
-// every kernel of every job), so the Explorer memoizes the two pure
-// sub-computations that repeat across variants — occupancy, keyed on the
-// exact (block_size, regs, smem) triple, and whole projections, keyed on
-// the model-relevant characteristics content — and best() prunes variants
-// whose single-bound lower bound already matches or exceeds the incumbent
-// (KernelTimeModel::project_if_below). Pruning cannot change the winner:
-// total_s = max(bounds) + launch_s, so one bound at the cutoff proves the
-// variant cannot beat it, and the incumbent only advances on strictly
-// smaller totals (the same first-of-equals tie-break as min_element).
+// every kernel of every job), so the Explorer memoizes occupancy, keyed on
+// the exact (block_size, regs, smem) triple that many variants share, and
+// best() prunes variants whose single-bound lower bound already matches or
+// exceeds the incumbent (KernelTimeModel::project_if_below). Pruning
+// cannot change the winner: total_s = max(bounds) + launch_s, so one bound
+// at the cutoff proves the variant cannot beat it, and the incumbent only
+// advances on strictly smaller totals (the same first-of-equals tie-break
+// as min_element). Every variant that survives pruning is projected.
 //
-// Memoization makes Explorer stateful: instances are NOT thread-safe.
-// Sweeps build one engine per job (exec::SweepRequest::job_fn).
+// The occupancy memo and the stats counters make Explorer stateful:
+// instances are NOT thread-safe. Sweeps build one engine per job
+// (exec::SweepRequest::job_fn).
 #pragma once
 
 #include <cstdint>
@@ -54,15 +54,17 @@ struct ExplorerOptions {
   ModelOptions model;
 };
 
-/// Lifetime counters of one Explorer's work, for tests and the micro_sim
-/// bench. Monotonic; cheap to maintain.
+/// Lifetime counters of one Explorer's work, for tests and e2ebench's
+/// traced run. Monotonic; cheap to maintain.
 struct ExploreStats {
   std::uint64_t variants = 0;          ///< Variants enumerated.
   std::uint64_t infeasible = 0;        ///< Rejected by occupancy.
   std::uint64_t pruned = 0;            ///< Dominance-pruned in best().
   std::uint64_t occupancy_hits = 0;
   std::uint64_t occupancy_misses = 0;
+  /// Always 0: no projection memo; kept because e2ebench reads it.
   std::uint64_t projection_hits = 0;
+  /// Always 0: no projection memo; kept because e2ebench reads it.
   std::uint64_t projection_misses = 0;
 };
 
@@ -90,24 +92,12 @@ class Explorer {
   const ExploreStats& stats() const { return stats_; }
 
  private:
-  /// A fully projected characteristics record: key = the fields
-  /// KernelTimeModel reads, flattened to doubles (ints <= 2^53 are exact).
-  struct ProjectionMemoEntry {
-    std::vector<double> key;
-    KernelTimeBreakdown time;
-  };
-
   Occupancy occupancy_for(const KernelCharacteristics& kc) const;
-  const KernelTimeBreakdown* find_projection(
-      const std::vector<double>& key) const;
-  void remember_projection(std::vector<double> key,
-                           const KernelTimeBreakdown& time) const;
 
   KernelTimeModel model_;
   ExplorerOptions options_;
   mutable ExploreStats stats_;
   mutable std::unordered_map<std::uint64_t, Occupancy> occupancy_memo_;
-  mutable std::vector<ProjectionMemoEntry> projection_memo_;
 };
 
 }  // namespace grophecy::gpumodel

@@ -89,21 +89,6 @@ WarpDemands warp_demands(const KernelCharacteristics& kc,
   return wd;
 }
 
-const WarpAccessCost& AccessCostCache::cost(const MemAccess& access,
-                                            const hw::GpuSpec& gpu) {
-  for (const Entry& entry : entries_) {
-    if (entry.cls == access.cls && entry.stride_elems == access.stride_elems &&
-        entry.elem_bytes == access.elem_bytes) {
-      ++hits_;
-      return entry.cost;
-    }
-  }
-  ++misses_;
-  entries_.push_back(Entry{access.cls, access.stride_elems, access.elem_bytes,
-                           warp_access_cost(access, gpu)});
-  return entries_.back().cost;
-}
-
 KernelTimeModel::KernelTimeModel(hw::GpuSpec gpu, ModelOptions options)
     : gpu_(std::move(gpu)), options_(options) {
   GROPHECY_EXPECTS(gpu_.num_sms > 0);
@@ -171,7 +156,7 @@ std::optional<KernelTimeBreakdown> KernelTimeModel::project_if_below(
   double warp_mem_insts = 0.0;
   out.bandwidth_s = 0.0;
   for (const MemAccess& access : kc.accesses) {
-    const WarpAccessCost& cost = access_costs_.cost(access, gpu_);
+    const WarpAccessCost cost = warp_access_cost(access, gpu_);
     const double stream_eff =
         access.gathered_stream ? options_.gathered_stream_efficiency : 1.0;
     out.bandwidth_s += access.count_per_thread * warps_total *

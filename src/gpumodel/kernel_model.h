@@ -17,7 +17,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "gpumodel/characteristics.h"
 #include "gpumodel/occupancy.h"
@@ -72,30 +71,6 @@ struct WarpDemands {
 WarpDemands warp_demands(const KernelCharacteristics& kc,
                          const hw::GpuSpec& gpu);
 
-/// Memo of warp_access_cost results for one fixed GpuSpec, keyed by the
-/// fields the coalescing math reads (class, stride, element size). The
-/// access-shape population of an exploration is tiny, so a flat vector
-/// beats a hash map. Not thread-safe; owners (KernelTimeModel, Explorer)
-/// are one-per-thread objects.
-class AccessCostCache {
- public:
-  const WarpAccessCost& cost(const MemAccess& access, const hw::GpuSpec& gpu);
-
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  struct Entry {
-    AccessClass cls;
-    std::int64_t stride_elems;
-    std::uint32_t elem_bytes;
-    WarpAccessCost cost;
-  };
-  std::vector<Entry> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
 /// Timing breakdown of one kernel launch.
 struct KernelTimeBreakdown {
   double compute_s = 0.0;    ///< FLOP + SFU throughput bound.
@@ -122,9 +97,8 @@ struct ModelOptions {
   double gathered_stream_efficiency = 0.32;
 };
 
-/// Analytical model of a GpuSpec. Not thread-safe (it memoizes access
-/// costs internally); use one instance per thread, as the sweep engine's
-/// per-job projection engines already do.
+/// Analytical model of a GpuSpec. Holds no mutable state, so one instance
+/// may serve any number of threads at once.
 class KernelTimeModel {
  public:
   explicit KernelTimeModel(hw::GpuSpec gpu, ModelOptions options = {});
@@ -150,12 +124,10 @@ class KernelTimeModel {
 
   const hw::GpuSpec& gpu() const { return gpu_; }
   const ModelOptions& options() const { return options_; }
-  const AccessCostCache& access_cost_cache() const { return access_costs_; }
 
  private:
   hw::GpuSpec gpu_;
   ModelOptions options_;
-  mutable AccessCostCache access_costs_;
 };
 
 }  // namespace grophecy::gpumodel

@@ -1,6 +1,5 @@
 #include "gpumodel/occupancy.h"
 
-#include "hw/architecture.h"
 #include "util/contracts.h"
 
 namespace grophecy::gpumodel {
@@ -15,16 +14,8 @@ Occupancy compute_occupancy(const hw::GpuSpec& gpu, int block_size,
   // unknown family fall back to the paper testbed's rules, which are the
   // shared base implementation anyway).
   const hw::Architecture* arch = hw::Architecture::try_of(gpu.family);
-  const hw::Occupancy computed =
-      (arch != nullptr ? *arch : hw::Architecture::of("tesla"))
-          .occupancy(gpu, block_size, regs_per_thread, smem_per_block);
-
-  Occupancy occ;
-  occ.blocks_per_sm = computed.blocks_per_sm;
-  occ.active_warps = computed.active_warps;
-  occ.fraction = computed.fraction;
-  occ.limiter = computed.limiter;
-  return occ;
+  return (arch != nullptr ? *arch : hw::Architecture::of("tesla"))
+      .occupancy(gpu, block_size, regs_per_thread, smem_per_block);
 }
 
 }  // namespace grophecy::gpumodel

@@ -8,18 +8,13 @@
 
 #include <cstdint>
 
+#include "hw/architecture.h"
 #include "hw/machine.h"
 
 namespace grophecy::gpumodel {
 
-struct Occupancy {
-  int blocks_per_sm = 0;
-  int active_warps = 0;     ///< Warps resident per SM.
-  double fraction = 0.0;    ///< active_warps / max warps.
-  /// Which resource capped the block count: "threads", "blocks", "regs",
-  /// or "smem".
-  const char* limiter = "";
-};
+/// The architecture family's occupancy record, used as is.
+using Occupancy = hw::Occupancy;
 
 /// Computes occupancy for a block of `block_size` threads needing
 /// `regs_per_thread` registers and `smem_per_block` bytes of shared memory.

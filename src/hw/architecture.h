@@ -28,8 +28,8 @@
 namespace grophecy::hw {
 
 /// Occupancy of one SM for a candidate block shape, as computed by a
-/// family's allocation rules. Mirrored by gpumodel::Occupancy (the
-/// model-facing copy); the limiter strings are part of both contracts.
+/// family's allocation rules. gpumodel::Occupancy is this type; the
+/// limiter strings are part of its contract.
 struct Occupancy {
   int blocks_per_sm = 0;
   int active_warps = 0;   ///< Warps (family wavefronts) resident per SM.

@@ -19,6 +19,7 @@
 #include "dataflow/usage_analyzer.h"
 #include "skeleton/skeleton.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace grophecy::dataflow {
 namespace {
@@ -194,7 +195,7 @@ AppSkeleton random_skeleton(util::Rng& rng) {
     const int num_loops = static_cast<int>(rng.uniform_int(1, 3));
     for (int l = 0; l < num_loops; ++l) {
       Loop loop;
-      loop.name = "v" + std::to_string(l);
+      loop.name = util::strfmt("v%d", l);
       loop.lower = 0;
       loop.upper = rng.uniform_int(2, 6);
       loop.step = rng.bernoulli(0.2) ? 2 : 1;

@@ -53,7 +53,9 @@ void random_ops_match_oracle(std::uint64_t seed) {
     }
     ASSERT_EQ(heap.size(), oracle.size());
     ASSERT_EQ(heap.empty(), oracle.empty());
-    if (!heap.empty()) ASSERT_EQ(heap.top_key(), oracle.top().first);
+    if (!heap.empty()) {
+      ASSERT_EQ(heap.top_key(), oracle.top().first);
+    }
   }
   // Drain: every remaining key comes out in sorted order.
   while (!oracle.empty()) {

@@ -31,6 +31,7 @@
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/jsonl.h"
+#include "util/table.h"
 
 namespace grophecy::serve {
 namespace {
@@ -580,7 +581,7 @@ TEST(ServeDaemon, DrainingShutdownAnswersEveryQueuedRequest) {
   ReplyBin bin;
   for (int i = 0; i < 16; ++i)
     daemon.handle_line(
-        project_line("d" + std::to_string(i), "CFD", "97K", 0.0, i + 1),
+        project_line(util::strfmt("d%d", i), "CFD", "97K", 0.0, i + 1),
         bin.slot());
   gate.open();
   daemon.shutdown(/*drain=*/true);
@@ -605,7 +606,7 @@ TEST(ServeDaemon, AbortingShutdownStillAnswersEveryQueuedRequest) {
   ReplyBin bin;
   for (int i = 0; i < 8; ++i)
     daemon.handle_line(
-        project_line("a" + std::to_string(i), "CFD", "97K", 0.0, i + 1),
+        project_line(util::strfmt("a%d", i), "CFD", "97K", 0.0, i + 1),
         bin.slot());
   // Wait until the worker has claimed the first job (all 8 are queued
   // until it does), so exactly 7 are left in the queue.
@@ -742,7 +743,7 @@ TEST(ServeSoak, FaultEngineDrivenJobsDegradeToTypedOutcomes) {
   ReplyBin bin;
   for (int i = 0; i < 64; ++i)
     daemon.handle_line(
-        project_line("f" + std::to_string(i), "CFD", "97K", 0.0, i + 1),
+        project_line(util::strfmt("f%d", i), "CFD", "97K", 0.0, i + 1),
         bin.slot());
   const std::vector<std::string> replies = bin.wait_all();
   ASSERT_EQ(replies.size(), 64u);

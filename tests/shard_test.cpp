@@ -371,7 +371,10 @@ TEST(ShardSupervisor, WorkerDeathReassignsTheJobToAFreshWorker) {
 
 TEST(ShardSupervisor, PoisonJobIsQuarantinedWhileEveryOtherJobCompletes) {
   TempPath journal("poison");
-  const std::vector<JobSpec> jobs = grid(6);
+  // Cross-machine specs: a quarantined record must keep the machine, as
+  // an in-process failure of the same spec does.
+  std::vector<JobSpec> jobs = grid(6);
+  for (JobSpec& spec : jobs) spec.machine = "volta_v100";
   const auto fn = [](const JobSpec& spec) {
     if (spec.size_label == "size3") ::raise(SIGKILL);  // Always fatal.
     return fake_report(spec);
@@ -385,7 +388,7 @@ TEST(ShardSupervisor, PoisonJobIsQuarantinedWhileEveryOtherJobCompletes) {
   EXPECT_EQ(summary.quarantined, 1);
   EXPECT_EQ(summary.worker_deaths, 2);  // poison_kill_threshold = 2.
 
-  const JobOutcome* poison = summary.find(JobSpec{"W", "size3", 1});
+  const JobOutcome* poison = summary.find(jobs[3]);
   ASSERT_NE(poison, nullptr);
   EXPECT_EQ(poison->status, JobStatus::kFailed);
   ASSERT_TRUE(poison->error.has_value());
@@ -398,6 +401,15 @@ TEST(ShardSupervisor, PoisonJobIsQuarantinedWhileEveryOtherJobCompletes) {
   EXPECT_EQ(*poison->record.error_kind, ErrorKind::kWorkerDeath);
   const JournalReadResult journaled = ResultJournal::read(journal.path());
   EXPECT_EQ(journaled.records.size(), 6u);
+  const std::string fingerprint = jobs[3].fingerprint();
+  int poison_records = 0;
+  for (const std::string& payload : journaled.records) {
+    if (payload.find(fingerprint) == std::string::npos) continue;
+    ++poison_records;
+    EXPECT_NE(payload.find("\"machine\":\"volta_v100\""), std::string::npos)
+        << payload;
+  }
+  EXPECT_EQ(poison_records, 1);
 }
 
 TEST(ShardSupervisor, CleanExitMidJobIsStillADeath) {

@@ -7,6 +7,7 @@
 #include "skeleton/print.h"
 #include "skeleton/skeleton.h"
 #include "util/contracts.h"
+#include "util/table.h"
 
 namespace grophecy::skeleton {
 namespace {
@@ -78,7 +79,7 @@ TEST(Builder, ManyKernelsKeepBuildersValid) {
   const ArrayId a = app.array("a", ElemType::kF32, {16});
   std::vector<KernelBuilder*> builders;
   for (int k = 0; k < 20; ++k)
-    builders.push_back(&app.kernel("k" + std::to_string(k)));
+    builders.push_back(&app.kernel(util::strfmt("k%d", k)));
   for (KernelBuilder* k : builders) {
     k->parallel_loop("i", 16);
     k->statement(1.0).load(a, {k->var("i")});
