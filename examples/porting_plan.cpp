@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   std::vector<Candidate> candidates;
   for (const std::filesystem::path& path : files) {
     try {
-      const std::shared_ptr<const skeleton::AppSkeleton> app =
-          skeleton::parse_skeleton_file_cached(path.string());
-      candidates.push_back({path.filename().string(), engine.project(*app)});
+      const skeleton::AppSkeleton app =
+          skeleton::parse_skeleton_file(path.string());
+      candidates.push_back({path.filename().string(), engine.project(app)});
     } catch (const skeleton::ParseError& e) {
       std::fprintf(stderr, "skipping %s: %s\n", path.c_str(), e.what());
     }

@@ -60,9 +60,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // The cached entry points serve repeated projections of the same
-    // document from the process-wide content-addressed parse caches.
-    skeleton::AppSkeleton app = *skeleton::parse_skeleton_file_cached(argv[1]);
+    skeleton::AppSkeleton app = skeleton::parse_skeleton_file(argv[1]);
     if (iterations_override > 0) app.iterations = iterations_override;
 
     std::printf("%s\n", skeleton::to_string(app).c_str());
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
     const hw::MachineSpec machine =
         machine_file.empty()
             ? hw::MachineRegistry::global().find(machine_name)
-            : *hw::parse_machine_file_cached(machine_file);
+            : hw::parse_machine_file(machine_file);
     core::Grophecy engine(machine);
     std::printf("machine: %s (%s, %s)\n", machine.name.c_str(),
                 machine.gpu.name.c_str(), machine.pcie.name.c_str());

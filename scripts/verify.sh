@@ -9,7 +9,8 @@
 #                                  (sweep engine and its attempt runner,
 #                                  determinism, journal, calibration and
 #                                  artifact caches, serve daemon, shards,
-#                                  the shared kernel-time model)
+#                                  the shared kernel-time model, and the
+#                                  pool over cross-machine specs)
 #   scripts/verify.sh --bench      additionally run every built micro_*
 #                                  benchmark (plus cross_machine_report)
 #                                  and gate each against its checked-in
@@ -65,7 +66,7 @@ for arg in "$@"; do
       # TSan slows everything ~10x; focus it on the code that actually
       # shares state across threads (ctest names are GTest suite.test).
       run_preset tsan --no-tests=error -R \
-        '^(KernelModel|SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos)\.'
+        '^(KernelModel|SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos|CrossMachineSweep)\.'
       ;;
     --bench)
       # Discover the benches from the built binaries instead of a

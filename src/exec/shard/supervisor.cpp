@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <utility>
@@ -11,7 +12,6 @@
 #include "exec/journal.h"
 #include "exec/shard/protocol.h"
 #include "exec/shard/worker.h"
-#include "util/contracts.h"
 #include "util/error.h"
 #include "util/table.h"
 
@@ -220,6 +220,7 @@ void ShardSupervisor::handle_death(std::vector<Slot>& slots,
       job_result.worker_kills = kills;
       job_result.death_message = death;
       result.jobs[pending_[pos].index] = std::move(job_result);
+      ++result.quarantined;
       ++settled_;
     } else {
       // Front of the queue: the interrupted job runs next, preserving
@@ -440,204 +441,82 @@ void ShardSupervisor::assign_if_possible(Slot&) {}
 
 #endif
 
-}  // namespace grophecy::exec::shard
-
-namespace grophecy::exec {
-
-// The sharded twin of run_unique, defined here next to the supervisor it
-// drives. Same inputs, same observable artifacts: outcomes, counters, and
-// journal appends in submission order, byte-identical (with
-// record_wall_time = false) to the in-process engine running the same
-// grid — that equivalence is what the chaos suite asserts.
-SweepSummary SweepEngine::run_sharded(const std::vector<JobSpec>& jobs,
-                                      const JobFn& fn) {
+std::map<std::string, RecoveredRecord> recover_shards(
+    const std::string& journal_path, SweepSummary& summary) {
 #ifndef GROPHECY_SHARD_POSIX
   throw UsageError(
       "SweepOptions.shards > 0 requires a POSIX platform "
       "(fork, socketpair, poll)");
-#else
-  using shard::Completion;
-  using shard::PendingJob;
-  using shard::ShardJobResult;
-  using shard::ShardJobStatus;
-
-  SweepSummary summary;
-  summary.outcomes.reserve(jobs.size());
-
-  // Canonical journal: the resume baseline, read exactly as run_unique
-  // reads it.
-  std::map<std::string, JobRecord> canonical = read_journal(summary);
-
-  // Shard recovery: results a previous (killed) supervisor's workers made
-  // durable but never merged. A torn shard tail is the expected crash
-  // artifact of a killed worker and is NOT counted as corruption;
-  // interior shard damage is real and is surfaced loudly.
-  std::map<std::string, std::pair<JobRecord, std::string>> recovered;
-  if (!options_.journal_path.empty()) {
-    for (const std::string& path :
-         shard::existing_shard_paths(options_.journal_path)) {
-      const JournalReadResult shard_read = ResultJournal::read(path);
-      const int interior_before = summary.journal_corrupt_interior;
-      summary.journal_corrupt_lines += shard_read.corrupt_interior;
-      summary.journal_corrupt_interior += shard_read.corrupt_interior;
-      for (const std::string& payload : shard_read.records) {
-        auto record = JobRecord::from_json(payload);
-        if (!record) {
-          ++summary.journal_corrupt_lines;
-          ++summary.journal_corrupt_interior;
-          continue;
-        }
-        const std::string fingerprint = record->fingerprint;
-        recovered[fingerprint] = {std::move(*record), payload};
-      }
-      // Name the exact shard journal that took interior damage so
-      // describe() points triage at the file, not at a guess.
-      if (summary.journal_corrupt_interior > interior_before)
-        summary.journal_path += "; " + path;
-    }
-  }
-
-  // Resume decisions, in submission order: canonical ok replays without
-  // appending (it is already in the file); a shard-recovered ok replays
-  // AND merges; everything else — missing or failed — executes.
-  enum class Source { kCanonical, kShard, kExecute };
-  std::vector<Source> source(jobs.size(), Source::kExecute);
-  std::vector<PendingJob> pending;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::string fingerprint = jobs[i].fingerprint();
-    if (options_.resume) {
-      const auto from_canonical = canonical.find(fingerprint);
-      if (from_canonical != canonical.end() &&
-          from_canonical->second.status == RecordStatus::kOk) {
-        source[i] = Source::kCanonical;
-        continue;
-      }
-      const auto from_shard = recovered.find(fingerprint);
-      if (from_shard != recovered.end() &&
-          from_shard->second.first.status == RecordStatus::kOk) {
-        source[i] = Source::kShard;
-        continue;
-      }
-    }
-    PendingJob job;
-    job.index = i;
-    job.spec = jobs[i];
-    pending.push_back(std::move(job));
-  }
-
-  shard::SuperviseResult supervised;
-  if (!pending.empty()) {
-    shard::ShardSupervisor supervisor(options_, fn, options_.journal_path,
-                                      std::move(pending));
-    supervised = supervisor.run();
-  }
-  summary.worker_deaths = supervised.worker_deaths;
-  summary.worker_respawns = supervised.worker_respawns;
-  summary.respawn_backoff_s = supervised.respawn_backoff_s;
-
-  // Merge + outcome assembly, strictly in submission order. The merge
-  // appends the exact record bytes the workers journaled (carried on the
-  // kDone frame / recovered from the shard), so the canonical journal is
-  // byte-identical to a single-process run of the same grid.
-  ResultJournal merged;
-  if (!options_.journal_path.empty())
-    merged.open_append(options_.journal_path);
-  bool appended = false;
-  const auto merge_append = [&](const std::string& payload) {
-    if (!merged.is_open()) return;
-    merged.append(payload, /*sync_now=*/false);
-    appended = true;
-  };
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const JobSpec& spec = jobs[i];
-    const std::string fingerprint = spec.fingerprint();
-    JobOutcome outcome;
-    outcome.spec = spec;
-    switch (source[i]) {
-      case Source::kCanonical: {
-        outcome.status = JobStatus::kResumed;
-        outcome.record = canonical[fingerprint];
-        outcome.report = outcome.record.to_report();
-        break;
-      }
-      case Source::kShard: {
-        const auto& [record, payload] = recovered[fingerprint];
-        outcome.status = JobStatus::kResumed;
-        outcome.record = record;
-        outcome.report = record.to_report();
-        merge_append(payload);
-        break;
-      }
-      case Source::kExecute: {
-        const auto it = supervised.jobs.find(i);
-        // The supervisor settles every pending job, one way or another.
-        GROPHECY_EXPECTS(it != supervised.jobs.end());
-        const ShardJobResult& job_result = it->second;
-        if (job_result.status == ShardJobStatus::kCompleted) {
-          const Completion& completion = job_result.completion;
-          outcome.status = completion.status == JobStatus::kOk
-                               ? JobStatus::kOk
-                               : JobStatus::kFailed;
-          outcome.attempts = completion.attempts;
-          outcome.elapsed_s = completion.elapsed_s;
-          outcome.backoff_s = completion.backoff_s;
-          outcome.record = *JobRecord::from_json(completion.record_json);
-          if (outcome.status == JobStatus::kOk) {
-            outcome.report = outcome.record.to_report();
-          } else {
-            JobError error;
-            error.kind =
-                outcome.record.error_kind.value_or(ErrorKind::kException);
-            error.message = outcome.record.error_message;
-            error.timed_out = error.kind == ErrorKind::kTimeout;
-            outcome.error = std::move(error);
-          }
-          merge_append(completion.record_json);
-        } else {
-          // Quarantined poison or an abandoned queue: a structured
-          // kWorkerDeath failure, journaled like any other failure.
-          outcome.status = JobStatus::kFailed;
-          outcome.attempts = job_result.worker_kills;
-          JobError error;
-          error.kind = ErrorKind::kWorkerDeath;
-          error.message =
-              job_result.status == ShardJobStatus::kQuarantined
-                  ? util::strfmt(
-                        "job %s killed %d worker process%s (last: %s); "
-                        "quarantined as poison",
-                        spec.key().c_str(), job_result.worker_kills,
-                        job_result.worker_kills == 1 ? "" : "es",
-                        job_result.death_message.c_str())
-                  : util::strfmt("job %s not run: %s", spec.key().c_str(),
-                                 job_result.death_message.c_str());
-          outcome.record =
-              JobRecord::from_error(spec, error, outcome.attempts, 0.0);
-          outcome.error = std::move(error);
-          merge_append(outcome.record.to_json());
-          if (job_result.status == ShardJobStatus::kQuarantined)
-            ++summary.quarantined;
-        }
-        break;
-      }
-    }
-
-    tally(summary, outcome);
-    summary.outcomes.push_back(std::move(outcome));
-  }
-
-  // Durable merge, then retire the shards: once every recovered or acked
-  // record is fsync'd in the canonical journal the shard files are
-  // redundant, and leaving them would re-merge stale results next run.
-  if (merged.is_open()) {
-    if (appended) merged.sync();
-    merged.close();
-    for (const std::string& path :
-         shard::existing_shard_paths(options_.journal_path))
-      ::unlink(path.c_str());
-  }
-  return summary;
 #endif
+  std::map<std::string, RecoveredRecord> recovered;
+  for (const std::string& path : existing_shard_paths(journal_path)) {
+    const JournalReadResult shard_read = ResultJournal::read(path);
+    const int interior_before = summary.journal_corrupt_interior;
+    summary.journal_corrupt_lines += shard_read.corrupt_interior;
+    summary.journal_corrupt_interior += shard_read.corrupt_interior;
+    for (const std::string& payload : shard_read.records) {
+      auto record = JobRecord::from_json(payload);
+      if (!record) {
+        ++summary.journal_corrupt_lines;
+        ++summary.journal_corrupt_interior;
+        continue;
+      }
+      const std::string fingerprint = record->fingerprint;
+      recovered[fingerprint] = {std::move(*record), payload};
+    }
+    // Name the exact shard journal that took interior damage so
+    // describe() points triage at the file, not at a guess.
+    if (summary.journal_corrupt_interior > interior_before)
+      summary.journal_path += "; " + path;
+  }
+  return recovered;
 }
 
-}  // namespace grophecy::exec
+void retire_shards(const std::string& journal_path) {
+  for (const std::string& path : existing_shard_paths(journal_path))
+    std::remove(path.c_str());
+}
+
+std::pair<JobOutcome, std::string> settle(const JobSpec& spec,
+                                          const ShardJobResult& result) {
+  JobOutcome outcome;
+  outcome.spec = spec;
+  outcome.status = JobStatus::kFailed;
+  JobError error;
+  if (result.status == ShardJobStatus::kCompleted) {
+    const Completion& completion = result.completion;
+    outcome.attempts = completion.attempts;
+    outcome.elapsed_s = completion.elapsed_s;
+    outcome.backoff_s = completion.backoff_s;
+    outcome.record = *JobRecord::from_json(completion.record_json);
+    if (completion.status == JobStatus::kOk) {
+      outcome.status = JobStatus::kOk;
+      outcome.report = outcome.record.to_report();
+    } else {
+      error.kind = outcome.record.error_kind.value_or(ErrorKind::kException);
+      error.message = outcome.record.error_message;
+      error.timed_out = error.kind == ErrorKind::kTimeout;
+      outcome.error = std::move(error);
+    }
+    return {std::move(outcome), completion.record_json};
+  }
+  // Quarantined poison or an abandoned queue: a structured kWorkerDeath
+  // failure, journaled like any other failure.
+  outcome.attempts = result.worker_kills;
+  error.kind = ErrorKind::kWorkerDeath;
+  error.message =
+      result.status == ShardJobStatus::kQuarantined
+          ? util::strfmt("job %s killed %d worker process%s (last: %s); "
+                         "quarantined as poison",
+                         spec.key().c_str(), result.worker_kills,
+                         result.worker_kills == 1 ? "" : "es",
+                         result.death_message.c_str())
+          : util::strfmt("job %s not run: %s", spec.key().c_str(),
+                         result.death_message.c_str());
+  outcome.record = JobRecord::from_error(spec, error, outcome.attempts, 0.0);
+  outcome.error = std::move(error);
+  std::string bytes = outcome.record.to_json();
+  return {std::move(outcome), std::move(bytes)};
+}
+
+}  // namespace grophecy::exec::shard

@@ -31,19 +31,20 @@
 // be held across a fork.
 //
 // Journaling and the crash-consistent merge are the other half of the
-// story (SweepEngine::run_sharded, defined in supervisor.cpp): each
-// worker appends to its own shard journal before acking, and the
-// supervisor folds acked record bytes into the canonical journal in
-// submission order after the run — byte-identical to a serial run of the
-// same grid. If the *supervisor* dies, the shard files remain; the next
-// run re-reads them via existing_shard_paths() and only genuinely missing
-// jobs execute again. See docs/robustness.md ("Process isolation and
-// sharding").
+// story: each worker appends to its own shard journal before acking, and
+// SweepEngine::run commits every job in submission order, appending the
+// acked record bytes (settle) verbatim to the canonical journal —
+// byte-identical to a serial run of the same grid. If the *supervisor*
+// dies, the shard files remain; the next run's plan reads them back
+// (recover_shards) and only genuinely missing jobs execute again. Once the
+// canonical journal is fsync'd, retire_shards deletes them. See
+// docs/robustness.md ("Process isolation and sharding").
 #pragma once
 
 #include <cstddef>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/shard/protocol.h"
@@ -61,8 +62,8 @@ std::string shard_path(const std::string& journal_path, int slot);
 /// shards still recovers every file a wider previous run left behind.
 std::vector<std::string> existing_shard_paths(const std::string& journal_path);
 
-/// One pending job: its index into the sweep's unique submission-order
-/// job list (the index the merge sorts by) plus the spec itself.
+/// One pending job: its index in the sweep's submission order (the key of
+/// SuperviseResult::jobs) plus the spec itself.
 struct PendingJob {
   std::size_t index = 0;
   JobSpec spec;
@@ -87,8 +88,37 @@ struct SuperviseResult {
   std::map<std::size_t, ShardJobResult> jobs;  ///< Keyed by PendingJob::index.
   int worker_deaths = 0;
   int worker_respawns = 0;
+  int quarantined = 0;             ///< Jobs that ended kQuarantined.
   double respawn_backoff_s = 0.0;  ///< Recorded (never slept) backoff.
 };
+
+/// A record a previous run's worker made durable in a shard journal, with
+/// the exact bytes it journaled.
+struct RecoveredRecord {
+  JobRecord record;
+  std::string bytes;
+};
+
+/// Shard recovery: every parseable record in the shard journals of
+/// `journal_path`, by fingerprint (later records win). A torn shard tail
+/// is the expected crash artifact of a killed worker and is not counted;
+/// interior damage is folded into `summary`'s corruption counters, and
+/// each damaged shard's path is appended to summary.journal_path. Throws
+/// UsageError on a non-POSIX platform, where shards cannot run.
+std::map<std::string, RecoveredRecord> recover_shards(
+    const std::string& journal_path, SweepSummary& summary);
+
+/// Shard retirement: deletes every shard journal of `journal_path`. Call
+/// only once their records are fsync'd in the canonical journal; leaving
+/// them would re-merge stale results next run.
+void retire_shards(const std::string& journal_path);
+
+/// The outcome of one supervised job, and the exact record bytes to append
+/// to the canonical journal: a completed job's bytes as its worker
+/// journaled them, or a structured kWorkerDeath failure for a quarantined
+/// or abandoned one.
+std::pair<JobOutcome, std::string> settle(const JobSpec& spec,
+                                          const ShardJobResult& result);
 
 /// The poll-loop parent of the worker fleet. Construct with the sweep's
 /// options (validated; shards >= 1), the job function, and the pending

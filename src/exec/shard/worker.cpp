@@ -88,7 +88,7 @@ void worker_main(int fd, const std::string& shard_journal_path,
 
 void worker_main(int, const std::string&, const SweepOptions&,
                  const SweepEngine::JobFn&) {
-  // Unreachable: run_sharded refuses to fork on non-POSIX platforms.
+  // Unreachable: SweepEngine::run refuses shards on non-POSIX platforms.
   std::abort();
 }
 

@@ -27,22 +27,25 @@
 //                 jobs that are missing or failed; completed results are
 //                 replayed from the journal without re-measuring.
 //
-// Independent grid points additionally run *concurrently* on a fixed-size
-// worker pool (SweepOptions::workers) without giving up determinism:
+// Independent grid points additionally run *concurrently* without giving
+// up determinism. run() plans, executes and commits every sweep once, for
+// threads and shards alike:
 //
-//   * jobs are claimed in submission order; each job's result must be a
-//     pure function of its spec (the SweepRequest builder arranges this by
-//     giving every job its own engine seeded from the job fingerprint), so
-//     measured values are identical regardless of worker count or
+//   * plan: in submission order, before anything runs, each job is a
+//     duplicate of an earlier job with its fingerprint, resumed from a
+//     journaled ok record, or pending;
+//   * execute: pending jobs run on forked worker processes
+//     (SweepOptions::shards), on a worker pool (SweepOptions::workers),
+//     or — with one worker — inline on the calling thread. Each job's
+//     result must be a pure function of its spec (the SweepRequest
+//     builder gives every job its own engine seeded from the job
+//     fingerprint), so measured values do not depend on worker count or
 //     scheduling order;
-//   * finished jobs pass through a sequenced committer that appends them
-//     to the journal and the summary in submission order — the journal
-//     bytes and the summary are the same for 1 worker or 100;
-//   * journal appends stay crash-safe behind a mutex, with the fsync
-//     batched per committed run of consecutive jobs instead of per record.
-//
-// With workers == 1 the engine executes jobs strictly in order, one at a
-// time, call-for-call identical to the bare serial loop it replaced.
+//   * commit: one loop appends every job to the journal and the summary
+//     in submission order, so the journal bytes and the summary are the
+//     same for 1 worker, 100, or N shards. Each append is flushed at once
+//     and fsync'd before the committer waits for or runs the next job:
+//     with one worker, before the next job starts.
 //
 // See docs/robustness.md ("The sweep-level degradation ladder" and
 // "Concurrency and determinism") for the full policy write-up, and
@@ -415,11 +418,6 @@ class SweepEngine {
   JobOutcome execute_job(const JobSpec& spec, const JobFn& fn);
 
  private:
-  /// run() after duplicate fingerprints have been filtered out.
-  SweepSummary run_unique(const std::vector<JobSpec>& jobs, const JobFn& fn);
-  /// run_unique for shards > 0: forks workers, supervises them, merges
-  /// shard journals (exec/shard/supervisor.h).
-  SweepSummary run_sharded(const std::vector<JobSpec>& jobs, const JobFn& fn);
   /// The journal's parseable records by fingerprint (later records win),
   /// with its path and corruption counts folded into `summary`. Empty
   /// without a journal_path.

@@ -5,9 +5,13 @@
 #include <condition_variable>
 #include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
+#include <tuple>
 
 #include "exec/journal.h"
+#include "exec/shard/supervisor.h"
 #include "exec/sweep.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -234,179 +238,165 @@ JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
 
 SweepSummary SweepEngine::run(const std::vector<JobSpec>& jobs,
                               const JobFn& fn) {
-  // Dedupe pre-pass: identical fingerprints execute once. Duplicates are
-  // resolved by expansion AFTER the unique jobs ran, so the worker pool
-  // never has to synchronize on an in-flight original, and the journal —
-  // which only sees the unique jobs — stays byte-identical across worker
-  // counts whether or not the submission list contained duplicates.
-  std::map<std::string, std::size_t> first_with_fingerprint;
-  std::vector<std::optional<std::size_t>> duplicate_of(jobs.size());
-  std::vector<JobSpec> unique;
-  unique.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto [it, inserted] =
-        first_with_fingerprint.emplace(jobs[i].fingerprint(), i);
-    if (inserted)
-      unique.push_back(jobs[i]);
-    else
-      duplicate_of[i] = it->second;
-  }
-  if (unique.size() == jobs.size()) return run_unique(jobs, fn);
-
-  SweepSummary inner = run_unique(unique, fn);
-  SweepSummary summary;
-  summary.journal_corrupt_lines = inner.journal_corrupt_lines;
-  summary.journal_corrupt_interior = inner.journal_corrupt_interior;
-  summary.journal_path = inner.journal_path;
-  summary.worker_deaths = inner.worker_deaths;
-  summary.worker_respawns = inner.worker_respawns;
-  summary.quarantined = inner.quarantined;
-  summary.respawn_backoff_s = inner.respawn_backoff_s;
-  summary.outcomes.reserve(jobs.size());
-  std::size_t next_unique = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!duplicate_of[i]) {
-      summary.outcomes.push_back(std::move(inner.outcomes[next_unique++]));
-    } else {
-      // The original precedes its duplicates in submission order, so its
-      // outcome is already in place at its full-list index.
-      const JobOutcome& original = summary.outcomes[*duplicate_of[i]];
-      JobOutcome outcome;
-      outcome.spec = jobs[i];
-      outcome.record = original.record;
-      outcome.report = original.report;
-      outcome.error = original.error;
-      // A duplicate of a successful (or resumed) job reused its result; a
-      // duplicate of a failed job fails identically — either way, zero
-      // executions.
-      outcome.status = original.status == JobStatus::kFailed
-                           ? JobStatus::kFailed
-                           : JobStatus::kDeduped;
-      summary.outcomes.push_back(std::move(outcome));
-    }
-    tally(summary, summary.outcomes.back());
-  }
-  return summary;
-}
-
-SweepSummary SweepEngine::run_unique(const std::vector<JobSpec>& jobs,
-                                     const JobFn& fn) {
-  if (options_.shards > 0 && !jobs.empty()) return run_sharded(jobs, fn);
-
   SweepSummary summary;
   summary.outcomes.reserve(jobs.size());
+  const bool sharded = options_.shards > 0 && !jobs.empty();
 
-  // Load whatever a previous (possibly killed) run journaled. Later
-  // records win, so a re-run of a previously failed job supersedes it.
+  // 1. Plan, in submission order, before anything runs. A repeated
+  // fingerprint is a duplicate of its first occurrence: it never runs, so
+  // the journal stays byte-identical whether or not the submission list
+  // repeats itself. A first occurrence whose latest journaled record is
+  // ok — in the canonical journal, or in a shard journal a killed
+  // supervisor left behind — is resumed, not re-measured; failed records
+  // do not shortcut, since resuming exists to give the missing and failed
+  // jobs another chance. Everything else is pending.
   const std::map<std::string, JobRecord> journaled = read_journal(summary);
+  std::map<std::string, shard::RecoveredRecord> recovered;
+  if (sharded)
+    recovered = shard::recover_shards(options_.journal_path, summary);
   ResultJournal journal;
   if (!options_.journal_path.empty())
     journal.open_append(options_.journal_path);
 
-  // Resume decisions are made up front (deterministically, in submission
-  // order): a journaled success is replayed, not re-measured. Failed
-  // records do not shortcut — the whole point of resuming is giving the
-  // missing and failed jobs another chance.
-  auto resumed_outcome =
-      [&](const JobSpec& spec) -> std::optional<JobOutcome> {
-    if (!options_.resume) return std::nullopt;
-    const auto it = journaled.find(spec.fingerprint());
-    if (it == journaled.end() || it->second.status != RecordStatus::kOk)
-      return std::nullopt;
-    JobOutcome outcome;
-    outcome.spec = spec;
-    outcome.status = JobStatus::kResumed;
-    outcome.record = it->second;
-    outcome.report = it->second.to_report();
-    return outcome;
+  struct Planned {
+    std::optional<std::size_t> duplicate_of;
+    const JobRecord* resumed = nullptr;
+    const std::string* shard_bytes = nullptr;  ///< Merged when resumed.
   };
-
-  const int workers =
-      std::max(1, std::min<int>(effective_workers(),
-                                static_cast<int>(jobs.size())));
-
-  if (workers <= 1) {
-    // Strictly serial, in submission order — call-for-call identical to
-    // the bare loop the engine replaced. Each record is made durable
-    // (fsync) before the next job starts.
-    for (const JobSpec& spec : jobs) {
-      JobOutcome outcome;
-      if (auto resumed = resumed_outcome(spec))
-        outcome = std::move(*resumed);
-      else
-        outcome = execute_job(spec, fn);
-      tally(summary, outcome);
-      if (journal.is_open() && outcome.status != JobStatus::kResumed)
-        journal.append(outcome.record.to_json());
-      summary.outcomes.push_back(std::move(outcome));
+  std::vector<Planned> plan(jobs.size());
+  std::vector<std::size_t> pending;
+  std::map<std::string, std::size_t> first_with_fingerprint;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::string fingerprint = jobs[i].fingerprint();
+    const auto [first, inserted] =
+        first_with_fingerprint.emplace(fingerprint, i);
+    if (!inserted) {
+      plan[i].duplicate_of = first->second;
+      continue;
     }
-    return summary;
+    if (options_.resume) {
+      if (const auto it = journaled.find(fingerprint);
+          it != journaled.end() && it->second.ok()) {
+        plan[i].resumed = &it->second;
+        continue;
+      }
+      if (const auto it = recovered.find(fingerprint);
+          it != recovered.end() && it->second.record.ok()) {
+        plan[i].resumed = &it->second.record;
+        plan[i].shard_bytes = &it->second.bytes;
+        continue;
+      }
+    }
+    pending.push_back(i);
   }
 
-  // Parallel execution with a sequenced committer. Workers claim jobs in
-  // submission order and publish finished outcomes into `ready`; this
-  // thread commits them — journal append, summary counters, outcome list
-  // — strictly in submission order, so every observable artifact of the
-  // sweep is identical to the serial run of the same job results. The
-  // fsync is batched: one sync per drained run of consecutive outcomes
-  // instead of one per record (each record is still flushed to the OS
-  // before commit proceeds, and a crash loses at most the unsynced tail —
-  // exactly the torn-tail case the journal reader already tolerates).
-  std::atomic<std::size_t> next_job{0};
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  std::map<std::size_t, JobOutcome> ready;
+  // 2. Execute the pending jobs. Shards run them all before the first
+  // commit, so the supervisor forks from a single-threaded process. A pool
+  // publishes finished outcomes for the committer; with one worker the
+  // committer runs each job inline when it reaches it.
+  shard::SuperviseResult supervised;
+  if (sharded && !pending.empty()) {
+    std::vector<shard::PendingJob> work;
+    work.reserve(pending.size());
+    for (const std::size_t i : pending) work.push_back({i, jobs[i]});
+    supervised = shard::ShardSupervisor(options_, fn, options_.journal_path,
+                                        std::move(work))
+                     .run();
+  }
+  summary.worker_deaths = supervised.worker_deaths;
+  summary.worker_respawns = supervised.worker_respawns;
+  summary.quarantined = supervised.quarantined;
+  summary.respawn_backoff_s = supervised.respawn_backoff_s;
 
-  auto worker_loop = [&] {
-    while (true) {
-      const std::size_t index =
-          next_job.fetch_add(1, std::memory_order_relaxed);
-      if (index >= jobs.size()) return;
-      const JobSpec& spec = jobs[index];
-      JobOutcome outcome;
-      if (auto resumed = resumed_outcome(spec))
-        outcome = std::move(*resumed);
-      else
-        outcome = execute_job(spec, fn);
+  std::mutex mutex;
+  std::condition_variable done_cv;
+  std::map<std::size_t, JobOutcome> done;  // Finished, not yet committed.
+  std::atomic<std::size_t> next_pending{0};
+  const auto drain = [&] {
+    for (std::size_t p;
+         (p = next_pending.fetch_add(1, std::memory_order_relaxed)) <
+         pending.size();) {
+      JobOutcome outcome = execute_job(jobs[pending[p]], fn);
       {
         std::lock_guard<std::mutex> lock(mutex);
-        ready.emplace(index, std::move(outcome));
+        done.emplace(pending[p], std::move(outcome));
       }
-      ready_cv.notify_one();
+      done_cv.notify_one();
     }
   };
+  std::vector<std::jthread> pool;
+  const std::size_t workers = std::min(
+      static_cast<std::size_t>(effective_workers()), pending.size());
+  if (!sharded && workers > 1)
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
 
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) pool.emplace_back(worker_loop);
+  // 3. Commit, in submission order: the journal, the counters and the
+  // outcome list are identical for any worker or shard count. Each append
+  // is flushed at once; the fsync is batched, once before the committer
+  // waits for or runs the next job and once at the end, so a crash loses
+  // at most the unsynced tail — the torn-tail case the reader tolerates.
+  bool unsynced = false;
+  const auto sync = [&] {
+    if (unsynced) journal.sync();
+    unsynced = false;
+  };
+  const auto executed = [&](std::size_t i) {
+    if (pool.empty()) {
+      sync();
+      return execute_job(jobs[i], fn);
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    if (done.count(i) == 0) {
+      lock.unlock();
+      sync();
+      lock.lock();
+      done_cv.wait(lock, [&] { return done.count(i) != 0; });
+    }
+    return std::move(done.extract(i).mapped());
+  };
 
-  std::size_t committed = 0;
-  while (committed < jobs.size()) {
-    std::vector<JobOutcome> batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      ready_cv.wait(lock, [&] { return ready.count(committed) != 0; });
-      // Drain every consecutive outcome that is already finished.
-      for (auto it = ready.find(committed); it != ready.end();
-           it = ready.find(committed + batch.size())) {
-        batch.push_back(std::move(it->second));
-        ready.erase(it);
-      }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Planned& step = plan[i];
+    JobOutcome outcome;
+    std::string bytes;  // Appended to the journal unless empty.
+    if (step.duplicate_of) {
+      // A duplicate of a successful (or resumed) job reuses its result; a
+      // duplicate of a failed job fails identically. Either way it runs
+      // zero times and journals nothing: the original's record covers it.
+      const JobOutcome& original = summary.outcomes[*step.duplicate_of];
+      outcome.spec = jobs[i];
+      outcome.status = original.status == JobStatus::kFailed
+                           ? JobStatus::kFailed
+                           : JobStatus::kDeduped;
+      outcome.record = original.record;
+      outcome.report = original.report;
+      outcome.error = original.error;
+    } else if (step.resumed) {
+      outcome.spec = jobs[i];
+      outcome.status = JobStatus::kResumed;
+      outcome.record = *step.resumed;
+      outcome.report = step.resumed->to_report();
+      if (step.shard_bytes) bytes = *step.shard_bytes;
+    } else if (sharded) {
+      // The worker's exact record bytes, so the canonical journal is
+      // byte-identical to a single-process run of the same grid.
+      std::tie(outcome, bytes) =
+          shard::settle(jobs[i], supervised.jobs.at(i));
+    } else {
+      outcome = executed(i);
+      if (journal.is_open()) bytes = outcome.record.to_json();
     }
-    bool appended = false;
-    for (JobOutcome& outcome : batch) {
-      tally(summary, outcome);
-      if (journal.is_open() && outcome.status != JobStatus::kResumed) {
-        journal.append(outcome.record.to_json(), /*sync_now=*/false);
-        appended = true;
-      }
-      summary.outcomes.push_back(std::move(outcome));
+    if (journal.is_open() && !bytes.empty()) {
+      journal.append(bytes, /*sync_now=*/false);
+      unsynced = true;
     }
-    if (appended) journal.sync();
-    committed += batch.size();
+    tally(summary, outcome);
+    summary.outcomes.push_back(std::move(outcome));
   }
-
-  for (std::thread& thread : pool) thread.join();
+  sync();
+  // Every recovered or acked record is durable in the canonical journal
+  // now, so the shard files are redundant.
+  if (sharded) shard::retire_shards(options_.journal_path);
   return summary;
 }
 

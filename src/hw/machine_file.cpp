@@ -291,32 +291,6 @@ MachineSpec parse_machine_file(const std::string& path) {
   }
 }
 
-util::ArtifactCache<MachineSpec>& machine_parse_cache() {
-  static util::ArtifactCache<MachineSpec> cache;
-  return cache;
-}
-
-std::shared_ptr<const MachineSpec> parse_machine_cached(
-    std::string_view text) {
-  util::KeyBuilder key;
-  key.field("gmach").field(text);
-  return machine_parse_cache().get_or_build(
-      key.hash(), [&] { return parse_machine(text); });
-}
-
-std::shared_ptr<const MachineSpec> parse_machine_file_cached(
-    const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw MachineParseError(path, 0, "cannot open file");
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  try {
-    return parse_machine_cached(contents.str());
-  } catch (const MachineParseError& e) {
-    throw MachineParseError(path, e.line(), e.message());
-  }
-}
-
 std::string serialize_machine(const MachineSpec& machine) {
   std::ostringstream oss;
   oss << "# grophecy machine description (every known field)\n";

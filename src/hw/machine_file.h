@@ -24,13 +24,11 @@
 // doubles as a complete, documented record of a machine's parameters.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "hw/machine.h"
-#include "util/artifact_cache.h"
 #include "util/error.h"
 
 namespace grophecy::hw {
@@ -51,21 +49,6 @@ MachineSpec parse_machine(std::string_view text);
 
 /// Reads and parses a .gmach file.
 MachineSpec parse_machine_file(const std::string& path);
-
-/// Content-addressed cached parse: the cache key is the hash of the
-/// document bytes, so identical documents share one immutable MachineSpec.
-/// Same errors as parse_machine.
-std::shared_ptr<const MachineSpec> parse_machine_cached(std::string_view text);
-
-/// Reads a .gmach file and serves the parse from the content-addressed
-/// cache (the file is still read each call, so an edited file re-parses).
-/// Same errors as parse_machine_file.
-std::shared_ptr<const MachineSpec> parse_machine_file_cached(
-    const std::string& path);
-
-/// The process-wide cache behind the cached parse entry points
-/// (accounting and tests; see util/artifact_cache.h).
-util::ArtifactCache<MachineSpec>& machine_parse_cache();
 
 /// Writes every known field of `machine` in .gmach syntax.
 std::string serialize_machine(const MachineSpec& machine);

@@ -19,7 +19,8 @@ void MachineRegistry::add(MachineSpec spec) {
 }
 
 void MachineRegistry::add_file(const std::string& path) {
-  add_shared(parse_machine_file_cached(path), path);
+  add_shared(std::make_shared<const MachineSpec>(parse_machine_file(path)),
+             path);
 }
 
 void MachineRegistry::add_shared(std::shared_ptr<const MachineSpec> spec,

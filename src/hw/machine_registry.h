@@ -11,9 +11,7 @@
 // a known architecture family, interconnect bandwidths that fit inside the
 // link's theoretical capacity — and names are unique, so a lookup error
 // can list the complete valid fleet (same UsageError contract as
-// workloads::find_workload). File-backed specs are parsed through the
-// content-addressed parse_machine_cached, so identical documents share one
-// immutable MachineSpec with every other subsystem.
+// workloads::find_workload).
 //
 // The process-wide fleet is MachineRegistry::global(): built once, then
 // immutable, safe to read from concurrent sweep workers. Tests and tools
@@ -38,9 +36,9 @@ class MachineRegistry {
   /// validate_machine() or its name is already registered.
   void add(MachineSpec spec);
 
-  /// Parses, validates, and registers one `.gmach` file (through the
-  /// content-addressed parse cache). Throws MachineParseError for a
-  /// malformed document, UsageError for an invalid or duplicate machine.
+  /// Parses, validates, and registers one `.gmach` file. Throws
+  /// MachineParseError for a malformed document, UsageError for an
+  /// invalid or duplicate machine.
   void add_file(const std::string& path);
 
   /// Registers every `*.gmach` file in `dir`, in filename order (so
@@ -61,8 +59,7 @@ class MachineRegistry {
   /// global registry). This is the canonical cross-machine sweep order.
   std::vector<std::string> names() const;
 
-  /// The registered specs, registration order. Shared-ownership pointers:
-  /// file-backed entries alias the content-addressed parse cache.
+  /// The registered specs, registration order.
   const std::vector<std::shared_ptr<const MachineSpec>>& machines() const {
     return machines_;
   }

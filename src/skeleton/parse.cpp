@@ -484,30 +484,4 @@ AppSkeleton parse_skeleton_file(const std::string& path) {
   }
 }
 
-util::ArtifactCache<AppSkeleton>& skeleton_parse_cache() {
-  static util::ArtifactCache<AppSkeleton> cache;
-  return cache;
-}
-
-std::shared_ptr<const AppSkeleton> parse_skeleton_cached(
-    std::string_view text) {
-  util::KeyBuilder key;
-  key.field("gskel").field(text);
-  return skeleton_parse_cache().get_or_build(
-      key.hash(), [&] { return parse_skeleton(text); });
-}
-
-std::shared_ptr<const AppSkeleton> parse_skeleton_file_cached(
-    const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw ParseError(path, 0, "cannot open file");
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  try {
-    return parse_skeleton_cached(contents.str());
-  } catch (const ParseError& e) {
-    throw ParseError(path, e.line(), e.message());
-  }
-}
-
 }  // namespace grophecy::skeleton

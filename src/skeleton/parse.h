@@ -39,12 +39,10 @@
 // ErrorKind::kParse) with the source name, line number, and message.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "skeleton/skeleton.h"
-#include "util/artifact_cache.h"
 #include "util/error.h"
 
 namespace grophecy::skeleton {
@@ -66,22 +64,5 @@ AppSkeleton parse_skeleton(std::string_view text);
 /// Reads and parses a .gskel file; throws ParseError (with the file path
 /// attached) / ContractViolation.
 AppSkeleton parse_skeleton_file(const std::string& path);
-
-/// Content-addressed cached parse: the cache key is the hash of the
-/// document bytes, so identical documents — whatever file they came from —
-/// share one immutable parsed skeleton. Same errors as parse_skeleton.
-std::shared_ptr<const AppSkeleton> parse_skeleton_cached(
-    std::string_view text);
-
-/// Reads a .gskel file and serves the parse from the content-addressed
-/// cache (the file is still read each call: content addressing means an
-/// edited file re-parses, an untouched one never does). Same errors as
-/// parse_skeleton_file.
-std::shared_ptr<const AppSkeleton> parse_skeleton_file_cached(
-    const std::string& path);
-
-/// The process-wide cache behind the cached parse entry points
-/// (accounting and tests; see util/artifact_cache.h).
-util::ArtifactCache<AppSkeleton>& skeleton_parse_cache();
 
 }  // namespace grophecy::skeleton

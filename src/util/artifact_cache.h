@@ -1,10 +1,9 @@
 // Process-wide caches for immutable, content-addressed pipeline artifacts.
 //
 // The projection pipeline derives several artifacts that are pure
-// functions of their inputs: a parsed .gskel/.gmach document is a pure
-// function of the file bytes, a built workload skeleton of
-// (workload, size, iterations), a transfer plan of the skeleton content,
-// a PCIe calibration of (bus spec, procedure, memory mode, seed).
+// functions of their inputs: a built workload skeleton is a pure function
+// of (workload, size, iterations), a transfer plan of the skeleton
+// content, a PCIe calibration of (bus spec, procedure, memory mode, seed).
 // Sweeps re-derive them once per job; this cache derives each once per
 // process and hands every later consumer the same immutable object.
 //

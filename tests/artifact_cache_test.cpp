@@ -5,7 +5,7 @@
 //   * ArtifactCache: single-flight builds, hit/miss accounting, eviction
 //     of throwing factories (every waiter sees the typed failure),
 //     clear(), immutable shared artifacts;
-//   * the pipeline caches: parse/skeleton/usage caching returns the same
+//   * the pipeline caches: skeleton/usage caching returns the same
 //     immutable artifact, plan keys are iteration independent (paper
 //     §III-B), and projections are bit-identical with the caches
 //     (calibration included) on or off across the machine fleet.
@@ -22,10 +22,8 @@
 #include "core/experiment.h"
 #include "dataflow/usage_cache.h"
 #include "exec/sweep.h"
-#include "hw/machine_file.h"
 #include "hw/machine_registry.h"
 #include "skeleton/fingerprint.h"
-#include "skeleton/parse.h"
 #include "util/artifact_cache.h"
 #include "util/error.h"
 #include "workloads/skeleton_cache.h"
@@ -259,28 +257,6 @@ TEST(ArtifactCache, ClearDropsEntriesAndZeroesCounters) {
   int factory_calls = 0;
   cache.get_or_build(1, [&] { return ++factory_calls; });
   EXPECT_EQ(factory_calls, 1);  // the old entry is really gone
-}
-
-// --- parse caches ---
-
-TEST(ArtifactCache, ParseCachesReturnTheSameDocumentObject) {
-  const std::string text = R"(
-app cached_parse
-array a f32[16]
-kernel k
-  parallel for i in 0..16
-  stmt flops=1
-    load a[i]
-)";
-  const auto first = skeleton::parse_skeleton_cached(text);
-  const auto second = skeleton::parse_skeleton_cached(text);
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(first->name, "cached_parse");
-  // A different document is a different artifact, even when it parses to
-  // the same structure — the parse cache is keyed on the bytes.
-  const auto other =
-      skeleton::parse_skeleton_cached(text + "# trailing comment\n");
-  EXPECT_NE(first.get(), other.get());
 }
 
 // --- skeleton + usage caches and iteration independence ---

@@ -534,6 +534,25 @@ TEST(ShardMerge, LeftoverShardRecordsAreRecoveredMergedAndRetired) {
   EXPECT_EQ(read_file(journal.path()), read_file(clean.path()));
 }
 
+TEST(ShardMerge, EmptySweepLeavesLeftoverShardJournalsAlone) {
+  TempPath journal("empty");
+  const std::vector<JobSpec> jobs = grid(1);
+  {
+    ResultJournal shard_journal;
+    shard_journal.open_append(shard::shard_path(journal.path(), 0));
+    shard_journal.append(
+        JobRecord::from_report(jobs[0], fake_report(jobs[0]), 1, 0.0)
+            .to_json());
+  }
+
+  // Nothing runs, so nothing is recovered, merged or retired.
+  SweepEngine engine(sharded_options(2, journal.path()));
+  const SweepSummary summary = engine.run({}, fake_report);
+  EXPECT_TRUE(summary.outcomes.empty());
+  EXPECT_EQ(read_file(journal.path()), "");
+  EXPECT_EQ(shard::existing_shard_paths(journal.path()).size(), 1u);
+}
+
 TEST(ShardMerge, InteriorShardCorruptionIsLoudInTheSummary) {
   TempPath journal("interior");
   const std::vector<JobSpec> jobs = grid(3);

@@ -179,10 +179,11 @@ TEST(SweepDedupe, DedupeIsDeterministicAcrossWorkerCounts) {
     for (int s = 0; s < 4; ++s)
       jobs.push_back({"W", "size" + std::to_string(s), 1 << (s % 2)});
 
-  auto run = [&](int workers, const std::string& name) {
+  auto run = [&](int workers, const std::string& name, int shards = 0) {
     TempJournal journal(name);
     SweepOptions options;
     options.workers = workers;
+    options.shards = shards;
     options.journal_path = journal.path();
     options.record_wall_time = false;
     SweepEngine engine(options);
@@ -197,6 +198,10 @@ TEST(SweepDedupe, DedupeIsDeterministicAcrossWorkerCounts) {
     EXPECT_EQ(parallel.first, serial.first) << workers;
     EXPECT_EQ(parallel.second, serial.second) << workers;
   }
+  // Worker processes dedupe and commit through the same plan.
+  const auto sharded = run(1, "s2", /*shards=*/2);
+  EXPECT_EQ(sharded.first, serial.first);
+  EXPECT_EQ(sharded.second, serial.second);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.h"
 #include "exec/journal.h"
@@ -473,6 +474,26 @@ TEST(SweepEngine, TornJournalTailResumesCleanly) {
   EXPECT_EQ(summary.resumed, 2);  // the two intact records survive
   EXPECT_EQ(summary.ok, 1);       // only the torn job re-ran
   EXPECT_EQ(calls, 1);
+}
+
+TEST(SweepEngine, OneWorkerMakesEachRecordDurableBeforeTheNextJobStarts) {
+  TempJournal journal("durable");
+  SweepOptions options;
+  options.workers = 1;
+  options.journal_path = journal.path();
+  const std::vector<JobSpec> jobs{
+      {"W", "a", 1}, {"W", "b", 1}, {"W", "c", 1}, {"W", "d", 1},
+      {"W", "e", 1}};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> seen;
+  SweepEngine engine(options);
+  const SweepSummary summary = engine.run(jobs, [&](const JobSpec& spec) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(ResultJournal::read(journal.path()).records.size());
+    return fake_report(spec);
+  });
+  EXPECT_EQ(summary.ok, 5);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 // --- the chaos sweep: the full acceptance scenario ---
