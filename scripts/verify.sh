@@ -7,7 +7,8 @@
 #   scripts/verify.sh --tsan       additionally build under ThreadSanitizer
 #                                  and run the concurrency-sensitive suites
 #                                  (sweep engine and its attempt runner,
-#                                  determinism, journal, calibration and
+#                                  determinism, journal, calibration,
+#                                  skeleton, usage and best-variant
 #                                  artifact caches, serve daemon, shards,
 #                                  the shared kernel-time model, and the
 #                                  pool over cross-machine specs)
@@ -26,9 +27,11 @@
 #                                  against an in-process run, plus a full
 #                                  resume check (scripts/shard_smoke.sh)
 #   scripts/verify.sh --e2ebench   additionally build the end-to-end
-#                                  benchmark against src/'s public API and
-#                                  run its self-tests
-#                                  (e2ebench/test_e2ebench.py)
+#                                  benchmark against src/'s public API, run
+#                                  its self-tests (e2ebench/test_e2ebench.py)
+#                                  and run each workload for one second,
+#                                  requiring its byte-for-byte output check
+#                                  to pass (scripts/e2ebench_smoke.sh)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,6 +123,8 @@ for arg in "$@"; do
     --e2ebench)
       echo "=== verify: e2ebench self-tests (e2ebench/test_e2ebench.py) ==="
       python3 e2ebench/test_e2ebench.py
+      echo "=== verify: e2ebench output check (scripts/e2ebench_smoke.sh) ==="
+      scripts/e2ebench_smoke.sh
       ;;
     *)
       echo "unknown option: ${arg}" >&2

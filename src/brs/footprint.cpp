@@ -76,4 +76,13 @@ KernelFootprint kernel_footprint(const skeleton::AppSkeleton& app,
   return fp;
 }
 
+std::vector<KernelFootprint> kernel_footprints(
+    const skeleton::AppSkeleton& app) {
+  std::vector<KernelFootprint> footprints;
+  footprints.reserve(app.kernels.size());
+  for (const skeleton::KernelSkeleton& kernel : app.kernels)
+    footprints.push_back(kernel_footprint(app, kernel));
+  return footprints;
+}
+
 }  // namespace grophecy::brs

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "skeleton/skeleton.h"
 
@@ -43,5 +44,9 @@ struct KernelFootprint {
 /// Computes the footprint of `kernel` within `app`.
 KernelFootprint kernel_footprint(const skeleton::AppSkeleton& app,
                                  const skeleton::KernelSkeleton& kernel);
+
+/// kernel_footprint of every kernel of `app`, in app.kernels order.
+std::vector<KernelFootprint> kernel_footprints(
+    const skeleton::AppSkeleton& app);
 
 }  // namespace grophecy::brs

@@ -6,6 +6,7 @@
 
 #include "dataflow/usage_analyzer.h"
 #include "dataflow/usage_cache.h"
+#include "gpumodel/variant_cache.h"
 #include "pcie/calibration_cache.h"
 #include "skeleton/fingerprint.h"
 #include "util/contracts.h"
@@ -165,11 +166,11 @@ ProjectionReport Grophecy::project_impl(
   report.calibration = calibration_report_.summary();
 
   // --- transfer plan (data usage analysis) ---
+  std::shared_ptr<const dataflow::UsageArtifact> usage;
   if (usage_key) {
     bool from_cache = false;
-    const std::shared_ptr<const dataflow::UsageArtifact> artifact =
-        dataflow::cached_usage(*usage_key, app, &from_cache);
-    report.plan = artifact->plan;
+    usage = dataflow::cached_usage(*usage_key, app, &from_cache);
+    report.plan = usage->plan;
     report.artifacts.caches_enabled = true;
     report.artifacts.plan_from_cache = from_cache;
     report.artifacts.usage_key = *usage_key;
@@ -199,21 +200,25 @@ ProjectionReport Grophecy::project_impl(
   // --- kernel projection: explore, pick the best, then "hand-code" the
   // same transformation on the machine (paper §IV-A) ---
   const bool try_fusion = app.kernels.size() == 1 && app.iterations > 1;
-  for (const skeleton::KernelSkeleton& kernel : app.kernels) {
+  for (std::size_t k = 0; k < app.kernels.size(); ++k) {
+    const skeleton::KernelSkeleton& kernel = app.kernels[k];
     KernelResult result;
     result.name = kernel.name;
 
-    gpumodel::ProjectedKernel best{};
+    std::shared_ptr<const gpumodel::ProjectedKernel> best;
     double best_total = std::numeric_limits<double>::infinity();
     std::int64_t best_launches = app.iterations;
     std::vector<int> fusions =
         try_fusion ? options_.fusion_candidates : std::vector<int>{1};
     for (int fuse : fusions) {
       if (fuse < 1 || fuse > app.iterations) continue;
-      gpumodel::ProjectedKernel candidate =
-          explorer_.best(app, kernel, fuse);
+      std::shared_ptr<const gpumodel::ProjectedKernel> candidate =
+          usage_key ? gpumodel::cached_best(explorer_, *usage_key, app, k,
+                                            fuse)
+                    : std::make_shared<const gpumodel::ProjectedKernel>(
+                          explorer_.best(app, kernel, fuse));
       const std::int64_t launches = (app.iterations + fuse - 1) / fuse;
-      const double total = candidate.time.total_s *
+      const double total = candidate->time.total_s *
                            static_cast<double>(launches);
       if (total < best_total) {
         best_total = total;
@@ -223,7 +228,7 @@ ProjectionReport Grophecy::project_impl(
     }
     GROPHECY_ENSURES(std::isfinite(best_total));
 
-    result.projected = std::move(best);
+    result.projected = *best;
     result.launches = best_launches;
     result.predicted_s = best_total;
     const double per_launch = kernel_timer_->measure_launch_seconds(
@@ -254,7 +259,9 @@ ProjectionReport Grophecy::project_impl(
 
   // --- CPU baseline measurement ---
   report.measured_cpu_s =
-      cpu_sim_.measure_app_seconds(app, options_.measurement_runs);
+      usage ? cpu_sim_.measure_app_seconds(usage->footprints, app.iterations,
+                                           options_.measurement_runs)
+            : cpu_sim_.measure_app_seconds(app, options_.measurement_runs);
 
   return report;
 }

@@ -56,14 +56,18 @@ struct ProjectionOptions {
   bool detailed_sim = false;
   /// Empty; kept only while e2ebench/src/replay.cpp reads it.
   sim::EventSimOptions event_sim;
-  /// Serve calibration, built skeletons and usage-analysis artifacts from
-  /// the process-wide artifact caches (util/artifact_cache.h). Calibration
-  /// runs once per (machine, calibration options, memory mode, calibration
-  /// seed) per process, as the paper intends ("invoked when run on a new
-  /// system", §III-C); the transfer plan is keyed by the skeleton's
-  /// content fingerprint WITHOUT the iteration count (plans are iteration
-  /// independent, §III-B), so iteration sweeps analyze each data size
-  /// once. Content-addressed keys make results identical either way; only
+  /// Serve calibration, built skeletons, usage-analysis artifacts and
+  /// best kernel variants from the process-wide artifact caches
+  /// (util/artifact_cache.h). Calibration runs once per (machine,
+  /// calibration options, memory mode, calibration seed) per process, as
+  /// the paper intends ("invoked when run on a new system", §III-C); the
+  /// transfer plan and the kernels' BRS footprints (which the CPU
+  /// measurement prices) are keyed by the skeleton's content fingerprint
+  /// WITHOUT the iteration count (plans are iteration independent,
+  /// §III-B), so iteration sweeps analyze each data size once; and the
+  /// explorer searches once per (skeleton content, kernel, fuse factor,
+  /// GPU, explorer options), seed and iteration count aside.
+  /// Content-addressed keys make results identical either way; only
   /// repeated work is skipped. Off, the engine computes everything itself
   /// and touches no process-wide cache. See docs/performance.md,
   /// "Artifact caches".

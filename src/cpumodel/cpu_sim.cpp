@@ -19,10 +19,13 @@ CpuSimulator::CpuSimulator(hw::CpuSpec spec, std::uint64_t seed)
 
 double CpuSimulator::expected_app_seconds(
     const skeleton::AppSkeleton& app) const {
-  double per_iteration = 0.0;
-  for (const skeleton::KernelSkeleton& kernel : app.kernels) {
-    const brs::KernelFootprint fp = brs::kernel_footprint(app, kernel);
+  return expected_app_seconds(brs::kernel_footprints(app), app.iterations);
+}
 
+double CpuSimulator::expected_app_seconds(
+    std::span<const brs::KernelFootprint> footprints, int iterations) const {
+  double per_iteration = 0.0;
+  for (const brs::KernelFootprint& fp : footprints) {
     const double active_cores =
         static_cast<double>(std::min(spec_.threads, spec_.total_cores()));
     // A real run does not vectorize every statement perfectly; charge a
@@ -46,7 +49,7 @@ double CpuSimulator::expected_app_seconds(
                          spec_.parallel_efficiency +
                      kOmpRegionOverheadS;
   }
-  return per_iteration * app.iterations;
+  return per_iteration * iterations;
 }
 
 double CpuSimulator::run_app_seconds(const skeleton::AppSkeleton& app) {
@@ -56,10 +59,16 @@ double CpuSimulator::run_app_seconds(const skeleton::AppSkeleton& app) {
 
 double CpuSimulator::measure_app_seconds(const skeleton::AppSkeleton& app,
                                          int runs) {
+  return measure_app_seconds(brs::kernel_footprints(app), app.iterations, runs);
+}
+
+double CpuSimulator::measure_app_seconds(
+    std::span<const brs::KernelFootprint> footprints, int iterations,
+    int runs) {
   GROPHECY_EXPECTS(runs > 0);
   // The expected time (and so every kernel's footprint) is the same for
   // each run; only the jitter draws differ.
-  const double base = expected_app_seconds(app);
+  const double base = expected_app_seconds(footprints, iterations);
   double sum = 0.0;
   for (int i = 0; i < runs; ++i)
     sum += rng_.lognormal(base, spec_.timing_jitter_sigma);

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
+#include "brs/footprint.h"
 #include "cpumodel/cpu_model.h"
 #include "hw/machine.h"
 #include "skeleton/skeleton.h"
@@ -32,9 +34,21 @@ class CpuSimulator {
   /// Arithmetic mean of `runs` independent runs.
   double measure_app_seconds(const skeleton::AppSkeleton& app, int runs);
 
+  /// The same from the brs::kernel_footprint of each kernel (in kernel
+  /// order) and the iteration count: what the app overload computes
+  /// first, so a caller holding them (dataflow::UsageArtifact) skips the
+  /// section analysis. Bitwise equal to the app overload, and draws the
+  /// same jitter stream.
+  double measure_app_seconds(std::span<const brs::KernelFootprint> footprints,
+                             int iterations, int runs);
+
   const hw::CpuSpec& spec() const { return spec_; }
 
  private:
+  /// expected_app_seconds from footprints and the iteration count.
+  double expected_app_seconds(std::span<const brs::KernelFootprint> footprints,
+                              int iterations) const;
+
   hw::CpuSpec spec_;
   util::Rng rng_;
 };

@@ -17,6 +17,7 @@ std::shared_ptr<const UsageArtifact> cached_usage(
         UsageArtifact artifact;
         artifact.plan = analyzer.analyze(app);
         artifact.usages = analyzer.classify(app);
+        artifact.footprints = brs::kernel_footprints(app);
         return artifact;
       },
       from_cache);

@@ -3,15 +3,18 @@
 // The data-usage analyzer is a pure function of the skeleton content, and
 // its transfer plan is independent of the iteration count (paper §III-B:
 // input moves once before the first iteration, output once after the
-// last). Artifacts are therefore keyed by the skeleton's
-// usage_fingerprint — which excludes `iterations` — so an iteration sweep
-// analyzes each data size once and every other point is a lookup.
+// last). So are the per-kernel BRS footprints the CPU simulator prices a
+// run from (they describe one iteration). Artifacts are therefore keyed by
+// the skeleton's usage_fingerprint — which excludes `iterations` — so an
+// iteration sweep analyzes each data size once and every other point is a
+// lookup.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "brs/footprint.h"
 #include "dataflow/transfer_plan.h"
 #include "dataflow/usage_analyzer.h"
 #include "skeleton/skeleton.h"
@@ -19,11 +22,13 @@
 
 namespace grophecy::dataflow {
 
-/// Everything the analyzer derives from one skeleton, computed together
-/// in a single walk and shared immutably.
+/// Everything derived from one skeleton's content, computed together in
+/// one miss and shared immutably.
 struct UsageArtifact {
   TransferPlan plan;
   std::vector<ArrayUsage> usages;
+  /// brs::kernel_footprint of each kernel, in app.kernels order.
+  std::vector<brs::KernelFootprint> footprints;
 };
 
 /// Returns the usage artifact for `app`, keyed by `usage_key` (the

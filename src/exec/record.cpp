@@ -10,7 +10,6 @@
 #include "exec/sweep.h"
 #include "util/checksum.h"
 #include "util/jsonl.h"
-#include "util/table.h"
 
 namespace grophecy::exec {
 
@@ -48,8 +47,12 @@ static std::string identity_of(const JobSpec& spec) {
 }
 
 std::string JobSpec::fingerprint() const {
-  return util::strfmt("%016llx", static_cast<unsigned long long>(
-                                     util::fnv1a64(identity_of(*this))));
+  // Sixteen lowercase hex digits, zero padded.
+  std::uint64_t hash = util::fnv1a64(identity_of(*this));
+  std::string hex(16, '0');
+  for (auto digit = hex.rbegin(); digit != hex.rend(); ++digit, hash >>= 4)
+    *digit = "0123456789abcdef"[hash & 0xf];
+  return hex;
 }
 
 std::uint64_t JobSpec::stream_seed(std::uint64_t base_seed) const {

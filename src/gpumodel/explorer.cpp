@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "util/artifact_cache.h"
 #include "util/contracts.h"
 
 namespace grophecy::gpumodel {
@@ -53,10 +54,56 @@ void for_each_variant(const ExplorerOptions& options, const hw::GpuSpec& gpu,
   }
 }
 
+void fold_ints(util::KeyBuilder& h, const std::vector<int>& values) {
+  h.field(static_cast<std::uint64_t>(values.size()));
+  for (int value : values) h.field(value);
+}
+
+/// Every GpuSpec field (realism fields included) and every ExplorerOptions
+/// and ModelOptions field: everything best() reads besides the skeleton.
+std::uint64_t fold_key(const hw::GpuSpec& gpu, const ExplorerOptions& options) {
+  util::KeyBuilder h;
+  h.field(gpu.name)
+      .field(gpu.family)
+      .field(gpu.num_sms)
+      .field(gpu.cores_per_sm)
+      .field(gpu.core_clock_ghz)
+      .field(gpu.mem_bandwidth_gbps)
+      .field(gpu.memory_bytes)
+      .field(gpu.warp_size)
+      .field(gpu.max_threads_per_sm)
+      .field(gpu.max_blocks_per_sm)
+      .field(gpu.max_threads_per_block)
+      .field(std::uint64_t{gpu.registers_per_sm})
+      .field(std::uint64_t{gpu.shared_mem_per_sm_bytes})
+      .field(std::uint64_t{gpu.reg_alloc_granularity})
+      .field(std::uint64_t{gpu.smem_alloc_granularity_bytes})
+      .field(gpu.dram_latency_cycles)
+      .field(gpu.transaction_bytes)
+      .field(gpu.flops_per_core_per_cycle)
+      .field(gpu.kernel_launch_overhead_s)
+      .field(gpu.achieved_bw_fraction)
+      .field(gpu.uncoalesced_replay_factor)
+      .field(gpu.indirect_access_penalty)
+      .field(gpu.instruction_overhead)
+      .field(gpu.sync_cycles)
+      .field(gpu.gather_stream_fraction)
+      .field(gpu.timing_jitter_sigma);
+  fold_ints(h, options.block_sizes);
+  h.field(options.explore_smem_staging).field(options.explore_loop_interchange);
+  fold_ints(h, options.seq_tile_factors);
+  fold_ints(h, options.unroll_factors);
+  h.field(options.model.streaming_bw_efficiency)
+      .field(options.model.gathered_stream_efficiency);
+  return h.hash();
+}
+
 }  // namespace
 
 Explorer::Explorer(hw::GpuSpec gpu, ExplorerOptions options)
-    : model_(std::move(gpu), options.model), options_(std::move(options)) {
+    : model_(std::move(gpu), options.model),
+      options_(std::move(options)),
+      key_(fold_key(model_.gpu(), options_)) {
   GROPHECY_EXPECTS(!options_.block_sizes.empty());
   GROPHECY_EXPECTS(!options_.unroll_factors.empty());
 }

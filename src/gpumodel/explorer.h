@@ -7,19 +7,22 @@
 // Iteration fusion is explored at the application level by the orchestrator
 // because its payoff depends on the iteration count.
 //
-// The exploration loop is a projection hot path (sweeps call best() for
-// every kernel of every job), so the Explorer memoizes occupancy, keyed on
-// the exact (block_size, regs, smem) triple that many variants share, and
-// best() prunes variants whose single-bound lower bound already matches or
-// exceeds the incumbent (KernelTimeModel::project_if_below). Pruning
-// cannot change the winner: total_s = max(bounds) + launch_s, so one bound
-// at the cutoff proves the variant cannot beat it, and the incumbent only
+// best() is a pure function of the kernel, its app's arrays, the fuse
+// factor, the GpuSpec and the options, so core::Grophecy serves it from
+// the process-wide best-variant cache (gpumodel/variant_cache.h): a sweep
+// or the daemon searches once per (skeleton content, kernel, fuse) and
+// GPU, not once per job. A search memoizes occupancy, keyed on the exact
+// (block_size, regs, smem) triple that many variants share, and prunes
+// variants whose single-bound lower bound already matches or exceeds the
+// incumbent (KernelTimeModel::project_if_below). Pruning cannot change
+// the winner: total_s = max(bounds) + launch_s, so one bound at the
+// cutoff proves the variant cannot beat it, and the incumbent only
 // advances on strictly smaller totals (the same first-of-equals tie-break
 // as min_element). Every variant that survives pruning is projected.
 //
 // The occupancy memo and the stats counters make Explorer stateful:
-// instances are NOT thread-safe. Sweeps build one engine per job
-// (exec::SweepRequest::job_fn).
+// instances are NOT thread-safe. Sweeps build one engine, and so one
+// explorer, per job (exec::SweepRequest::job_fn).
 #pragma once
 
 #include <cstdint>
@@ -90,12 +93,17 @@ class Explorer {
   const hw::GpuSpec& gpu() const { return model_.gpu(); }
   const KernelTimeModel& model() const { return model_; }
   const ExploreStats& stats() const { return stats_; }
+  /// Content key of gpu() and options(), folded at construction: two
+  /// explorers with equal keys return the same best() for every input
+  /// (gpumodel/variant_cache.h keys on it).
+  std::uint64_t key() const { return key_; }
 
  private:
   Occupancy occupancy_for(const KernelCharacteristics& kc) const;
 
   KernelTimeModel model_;
   ExplorerOptions options_;
+  std::uint64_t key_;
   mutable ExploreStats stats_;
   mutable std::unordered_map<std::uint64_t, Occupancy> occupancy_memo_;
 };

@@ -2,10 +2,13 @@
 //
 // The projection pipeline derives several artifacts that are pure
 // functions of their inputs: a built workload skeleton is a pure function
-// of (workload, size, iterations), a transfer plan of the skeleton
-// content, a PCIe calibration of (bus spec, procedure, memory mode, seed).
-// Sweeps re-derive them once per job; this cache derives each once per
-// process and hands every later consumer the same immutable object.
+// of (workload, size, iterations), a transfer plan and the kernels' BRS
+// footprints of the skeleton content, a kernel's best variant of the
+// skeleton content, kernel, fuse factor, GPU and explorer options, and a
+// PCIe calibration of (bus spec, procedure, memory mode, seed). Each job
+// of a sweep would re-derive them; one instance of this cache per
+// artifact kind derives each once per process and hands every later
+// consumer the same immutable object.
 //
 //   * Keys are 64-bit FNV-1a content hashes (build them with KeyBuilder).
 //   * Values are `shared_ptr<const Value>`: immutable and safely shared
@@ -24,11 +27,11 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 
 namespace grophecy::util {
@@ -87,24 +90,26 @@ template <typename Value>
 class ArtifactCache {
  public:
   using Artifact = std::shared_ptr<const Value>;
-  using Factory = std::function<Value()>;
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
   };
 
-  /// Returns the artifact for `key`, running `factory` (outside the lock)
-  /// exactly once per key to produce it. Concurrent callers with the same
-  /// key block until the in-flight build finishes. A throwing factory
-  /// poisons nothing: the failed entry is evicted so a later call may
-  /// retry, and the exception propagates to every caller waiting on that
-  /// flight. When `from_cache` is non-null it is set to true on a hit.
-  Artifact get_or_build(std::uint64_t key, const Factory& factory,
+  /// Returns the artifact for `key`, running `factory` (a callable
+  /// returning Value, outside the lock) exactly once per key to produce
+  /// it. Concurrent callers with the same key block until the in-flight
+  /// build finishes. A throwing factory poisons nothing: the failed entry
+  /// is evicted so a later call may retry, and the exception propagates
+  /// to every caller waiting on that flight. When `from_cache` is
+  /// non-null it is set to true on a hit. A hit allocates nothing: the
+  /// promise and its flight are made only on a miss, and the factory is
+  /// never type-erased.
+  template <typename Factory>
+  Artifact get_or_build(std::uint64_t key, Factory&& factory,
                         bool* from_cache = nullptr) {
-    std::promise<Artifact> promise;
+    std::optional<std::promise<Artifact>> promise;
     std::shared_ptr<Flight> flight;
-    bool owner = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = entries_.find(key);
@@ -113,17 +118,17 @@ class ArtifactCache {
         flight = it->second;
       } else {
         ++misses_;
-        owner = true;
-        flight = std::make_shared<Flight>(promise.get_future().share());
+        promise.emplace();
+        flight = std::make_shared<Flight>(promise->get_future().share());
         entries_.emplace(key, flight);
       }
     }
 
-    if (owner) {
+    if (promise) {
       try {
-        promise.set_value(std::make_shared<const Value>(factory()));
+        promise->set_value(std::make_shared<const Value>(factory()));
       } catch (...) {
-        promise.set_exception(std::current_exception());
+        promise->set_exception(std::current_exception());
         // Evict by flight *identity*, not by key: if clear() raced in
         // between and a fresh, healthy flight already occupies the key,
         // that successor must survive — erasing by key would drop it and
@@ -134,7 +139,7 @@ class ArtifactCache {
       }
     }
 
-    if (from_cache) *from_cache = !owner;
+    if (from_cache) *from_cache = !promise;
     return flight->future.get();  // waits for the in-flight owner
   }
 

@@ -1,18 +1,24 @@
 #include "util/jsonl.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "util/table.h"
 
 namespace grophecy::util {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char ch : text) {
+namespace {
+
+/// Appends `text` with JSON string escaping. Runs that need no escape are
+/// appended whole.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto ch = static_cast<unsigned char>(text[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -21,27 +27,62 @@ std::string json_escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20)
-          out += strfmt("\\u%04x", ch);
-        else
-          out += ch;
+      default: {
+        const char code[] = {'\\', 'u', '0', '0', kHex[ch >> 4], kHex[ch & 0xf]};
+        out.append(code, sizeof code);
+      }
     }
   }
+  out.append(text, run);
+}
+
+/// Appends `value` exactly as printf's "%.17g" writes it: std::to_chars in
+/// general format at precision 17 produces the same bytes (inf, nan and
+/// signed zero included) without the locale and format-string machinery.
+void append_number(std::string& out, double value) {
+  char buffer[32];  // "-1.2345678901234567e-308" is the longest, 24 bytes
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof buffer, value,
+                    std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
 std::string write_flat_json(const FlatJson& object) {
-  std::string out = "{";
+  // Reserve for the unescaped size: braces, and per field the quoted key,
+  // the colon, the comma and the value (a number takes at most 24 bytes).
+  std::size_t size = 2;
+  for (const auto& [key, value] : object) {
+    size += key.size() + 4;
+    if (const auto* s = std::get_if<std::string>(&value))
+      size += s->size() + 2;
+    else
+      size += 24;
+  }
+  std::string out;
+  out.reserve(size);
+  out += '{';
   bool first = true;
   for (const auto& [key, value] : object) {
     if (!first) out += ',';
     first = false;
-    out += '"' + json_escape(key) + "\":";
+    out += '"';
+    append_escaped(out, key);
+    out += "\":";
     if (const auto* s = std::get_if<std::string>(&value)) {
-      out += '"' + json_escape(*s) + '"';
+      out += '"';
+      append_escaped(out, *s);
+      out += '"';
     } else if (const auto* d = std::get_if<double>(&value)) {
-      out += strfmt("%.17g", *d);
+      append_number(out, *d);
     } else {
       out += std::get<bool>(value) ? "true" : "false";
     }

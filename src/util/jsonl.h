@@ -38,7 +38,8 @@ using FlatJson = std::vector<std::pair<std::string, JsonScalar>>;
 std::string json_escape(std::string_view text);
 
 /// Serializes `object` as one strict JSON object, fields in order.
-/// Numbers are written with enough digits to round-trip doubles.
+/// Numbers are written byte for byte as printf's "%.17g" writes them (by
+/// std::to_chars), enough digits to round-trip every finite double.
 std::string write_flat_json(const FlatJson& object);
 
 /// Parses one flat JSON object. Returns std::nullopt on any syntax error,

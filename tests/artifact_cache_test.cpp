@@ -4,16 +4,22 @@
 //     content keys;
 //   * ArtifactCache: single-flight builds, hit/miss accounting, eviction
 //     of throwing factories (every waiter sees the typed failure),
-//     clear(), immutable shared artifacts;
+//     clear(), immutable shared artifacts, allocation-free hits;
 //   * the pipeline caches: skeleton/usage caching returns the same
 //     immutable artifact, plan keys are iteration independent (paper
-//     §III-B), and projections are bit-identical with the caches
-//     (calibration included) on or off across the machine fleet.
+//     §III-B), projections are bit-identical with the caches
+//     (calibration and best variants included) on or off across the
+//     machine fleet, and the best-variant key covers every GpuSpec,
+//     ExplorerOptions and ModelOptions field.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,15 +28,51 @@
 #include "core/experiment.h"
 #include "dataflow/usage_cache.h"
 #include "exec/sweep.h"
+#include "gpumodel/variant_cache.h"
+#include "hw/machine_file.h"
 #include "hw/machine_registry.h"
+#include "hw/registry.h"
 #include "skeleton/fingerprint.h"
 #include "util/artifact_cache.h"
 #include "util/error.h"
 #include "workloads/skeleton_cache.h"
 #include "workloads/workload.h"
 
+// --- Allocation counter ---
+// Replaceable global operator new/delete that count allocations while
+// armed, so a test can pin that a cache hit allocates nothing.
+namespace {
+std::atomic<long long> g_allocations{0};
+std::atomic<bool> g_count_allocations{false};
+
+void* counted_alloc(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* ptr = std::malloc(size == 0 ? 1 : size);
+  if (ptr == nullptr) throw std::bad_alloc();
+  return ptr;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+
 namespace grophecy {
 namespace {
+
+/// Allocations `fn` makes on any thread.
+template <typename Fn>
+long long allocations_during(Fn&& fn) {
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  fn();
+  g_count_allocations.store(false);
+  return g_allocations.load();
+}
 
 // --- KeyBuilder ---
 
@@ -259,6 +301,44 @@ TEST(ArtifactCache, ClearDropsEntriesAndZeroesCounters) {
   EXPECT_EQ(factory_calls, 1);  // the old entry is really gone
 }
 
+TEST(ArtifactCache, HitAllocatesNothing) {
+  // Four captured references: a type-erased std::function factory would
+  // allocate to hold them, and a promise made on every call would
+  // allocate its shared state.
+  util::ArtifactCache<std::string> cache;
+  int a = 1, b = 2, c = 3, d = 4;
+  const auto factory = [&a, &b, &c, &d] {
+    return std::string(64, static_cast<char>('a' + a + b + c + d));
+  };
+  cache.get_or_build(9, factory);  // the miss builds
+  bool from_cache = false;
+  std::shared_ptr<const std::string> hit;
+  EXPECT_EQ(allocations_during(
+                [&] { hit = cache.get_or_build(9, factory, &from_cache); }),
+            0);
+  EXPECT_TRUE(from_cache);
+  EXPECT_EQ(*hit, std::string(64, 'k'));
+
+  // The best-variant lookup a projection makes: key fold plus hit.
+  const workloads::Workload& hotspot =
+      workloads::PaperSuite::instance().find("HotSpot");
+  const auto built = workloads::cached_skeleton(
+      hotspot, workloads::find_data_size(hotspot, "64 x 64"), 4);
+  const gpumodel::Explorer explorer(hw::anl_eureka().gpu);
+  gpumodel::cached_best(explorer, built->usage_key, built->app, 0, 2);
+  const auto before = gpumodel::variant_cache().stats();
+  std::shared_ptr<const gpumodel::ProjectedKernel> best;
+  EXPECT_EQ(allocations_during([&] {
+              best = gpumodel::cached_best(explorer, built->usage_key,
+                                           built->app, 0, 2);
+            }),
+            0);
+  const auto after = gpumodel::variant_cache().stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(best->variant.fuse_iterations, 2);
+}
+
 // --- skeleton + usage caches and iteration independence ---
 
 TEST(ArtifactCache, SkeletonCacheKeysOnWorkloadSizeAndIterations) {
@@ -301,37 +381,134 @@ TEST(ArtifactCache, UsageFingerprintIgnoresIterationsOnly) {
 
 // --- the projection is identical with the caches on or off ---
 
-TEST(ArtifactCache, ProjectionBitIdenticalWithCachesOnOrOff) {
-  // Every registry machine x every paper point x several iteration counts
-  // (1 leaves temporal fusion out, 3 and 8 try it), with one engine per
-  // machine per side: each projection's journal record is byte-identical
-  // whether the process-wide caches (calibration, skeleton, usage) served
-  // it or the engine computed everything itself.
-  const workloads::PaperSuite& suite = workloads::PaperSuite::instance();
-  core::ProjectionOptions uncached_options;
+/// Projects every paper point at each of `iterations` on `machine`, with
+/// one engine whose process-wide artifact caches are on and one whose
+/// caches are off, and expects from both the same journal record and
+/// describe() text. Any throw fails the calling test.
+void expect_caches_change_nothing(const hw::MachineSpec& machine,
+                                  core::ProjectionOptions options,
+                                  std::initializer_list<int> iterations,
+                                  const std::string& label) {
+  options.use_artifact_caches = true;
+  core::ProjectionOptions uncached_options = options;
   uncached_options.use_artifact_caches = false;
-  for (const auto& machine : hw::MachineRegistry::global().machines()) {
-    core::ExperimentRunner cached(*machine);
-    core::ExperimentRunner uncached(*machine, uncached_options);
-    for (const auto& workload : suite.all()) {
-      for (const workloads::DataSize& size : workload->paper_data_sizes()) {
-        for (int iterations : {1, 3, 8}) {
-          const exec::JobSpec spec{workload->name(), size.label, iterations,
-                                   machine->name};
-          const core::ProjectionReport on =
-              cached.run(*workload, size, iterations);
-          const core::ProjectionReport off =
-              uncached.run(*workload, size, iterations);
-          ASSERT_TRUE(on.artifacts.caches_enabled);
-          ASSERT_FALSE(off.artifacts.caches_enabled);
-          EXPECT_EQ(exec::JobRecord::from_report(spec, on, 1, 0.0).to_json(),
-                    exec::JobRecord::from_report(spec, off, 1, 0.0).to_json())
-              << spec.key();
-          EXPECT_EQ(on.describe(), off.describe()) << spec.key();
-        }
+  core::ExperimentRunner cached(machine, options);
+  core::ExperimentRunner uncached(machine, uncached_options);
+  const workloads::PaperSuite& suite = workloads::PaperSuite::instance();
+  for (const auto& workload : suite.all()) {
+    for (const workloads::DataSize& size : workload->paper_data_sizes()) {
+      for (int iteration_count : iterations) {
+        const exec::JobSpec spec{workload->name(), size.label,
+                                 iteration_count, machine.name};
+        const core::ProjectionReport on =
+            cached.run(*workload, size, iteration_count);
+        const core::ProjectionReport off =
+            uncached.run(*workload, size, iteration_count);
+        ASSERT_TRUE(on.artifacts.caches_enabled);
+        ASSERT_FALSE(off.artifacts.caches_enabled);
+        EXPECT_EQ(exec::JobRecord::from_report(spec, on, 1, 0.0).to_json(),
+                  exec::JobRecord::from_report(spec, off, 1, 0.0).to_json())
+            << label << " " << spec.key();
+        EXPECT_EQ(on.describe(), off.describe()) << label << " " << spec.key();
       }
     }
   }
+}
+
+TEST(ArtifactCache, ProjectionBitIdenticalWithCachesOnOrOff) {
+  // Every registry machine x every paper point x iteration counts on each
+  // side of every `fuse > iterations` edge of the fusion candidates
+  // {1, 2, 4} (1 leaves temporal fusion out), with one engine per machine
+  // per side: each projection's journal record is byte-identical whether
+  // the process-wide caches (calibration, skeleton, usage, best variant)
+  // served it or the engine computed everything itself.
+  for (const auto& machine : hw::MachineRegistry::global().machines())
+    expect_caches_change_nothing(*machine, {}, {1, 2, 3, 4, 5, 8, 64},
+                                 machine->name);
+}
+
+TEST(ArtifactCache, VariantKeyCoversEveryGpuField) {
+  // The unperturbed machine fills the caches first. A perturbed machine
+  // keeps its name, so a key that left out the perturbed field would
+  // serve the unperturbed best variant and change the projection.
+  const hw::MachineSpec base = hw::anl_eureka();
+  expect_caches_change_nothing(base, {}, {1, 4, 8}, "unperturbed");
+  int perturbed = 0;
+  for (const std::string& field : hw::machine_field_names()) {
+    if (field.rfind("gpu.", 0) != 0) continue;
+    hw::MachineSpec machine = base;
+    if (field == "gpu.family") {
+      machine.gpu.family = "fermi";
+    } else if (!hw::scale_machine_field(machine, field, 2.0)) {
+      continue;  // gpu.name: the key folds it, nothing can perturb it here
+    }
+    ASSERT_NE(hw::serialize_machine(machine), hw::serialize_machine(base))
+        << field;
+    ++perturbed;
+    expect_caches_change_nothing(machine, {}, {1, 4, 8}, field);
+  }
+  EXPECT_EQ(perturbed, 25);  // every GpuSpec field but the name
+}
+
+TEST(ArtifactCache, VariantKeyCoversExplorerAndModelOptions) {
+  const hw::MachineSpec machine = hw::anl_eureka();
+  expect_caches_change_nothing(machine, {}, {1, 4, 8}, "default options");
+  std::vector<std::pair<std::string, core::ProjectionOptions>> variations;
+  auto vary = [&](const std::string& label,
+                  const std::function<void(gpumodel::ExplorerOptions&)>& edit) {
+    core::ProjectionOptions options;
+    edit(options.explorer);
+    variations.emplace_back(label, options);
+  };
+  vary("block_sizes", [](auto& o) { o.block_sizes = {128, 256}; });
+  vary("unroll_factors", [](auto& o) { o.unroll_factors = {1}; });
+  vary("seq_tile_factors", [](auto& o) { o.seq_tile_factors = {4}; });
+  vary("explore_smem_staging", [](auto& o) { o.explore_smem_staging = false; });
+  vary("explore_loop_interchange",
+       [](auto& o) { o.explore_loop_interchange = false; });
+  vary("model.streaming_bw_efficiency",
+       [](auto& o) { o.model.streaming_bw_efficiency = 0.5; });
+  vary("model.gathered_stream_efficiency",
+       [](auto& o) { o.model.gathered_stream_efficiency = 0.6; });
+  for (const auto& [label, options] : variations)
+    expect_caches_change_nothing(machine, options, {1, 4, 8}, label);
+}
+
+TEST(ArtifactCache, ConcurrentEnginesSearchEachVariantKeyOnce) {
+  // Eight engines project one spec at once: single-flight runs one search
+  // per (kernel, fuse) key and the other seven engines wait for it.
+  const workloads::Workload& hotspot =
+      workloads::PaperSuite::instance().find("HotSpot");
+  const auto built = workloads::cached_skeleton(
+      hotspot, workloads::find_data_size(hotspot, "512 x 512"), 8);
+  ASSERT_EQ(built->app.kernels.size(), 1u);  // so fuse 1, 2 and 4 are tried
+  constexpr std::uint64_t kKeys = 3;
+  constexpr int kEngines = 8;
+
+  gpumodel::variant_cache().clear();
+  std::vector<std::unique_ptr<core::Grophecy>> engines;
+  for (int i = 0; i < kEngines; ++i)
+    engines.push_back(std::make_unique<core::Grophecy>(hw::anl_eureka()));
+  std::vector<std::string> described(kEngines);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kEngines; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      described[static_cast<std::size_t>(i)] =
+          engines[static_cast<std::size_t>(i)]
+              ->project(built->app, built->usage_key)
+              .describe();
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  const auto stats = gpumodel::variant_cache().stats();
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.hits, kEngines * kKeys - kKeys);
+  EXPECT_EQ(gpumodel::variant_cache().size(), kKeys);
+  for (const std::string& text : described) EXPECT_EQ(text, described[0]);
 }
 
 }  // namespace

@@ -4,11 +4,16 @@
 // most the in-flight record), and JobRecord round-tripping.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/wait.h>
@@ -19,6 +24,8 @@
 #include "exec/sweep.h"
 #include "util/checksum.h"
 #include "util/jsonl.h"
+#include "util/rng.h"
+#include "util/table.h"
 
 namespace grophecy::exec {
 namespace {
@@ -86,6 +93,74 @@ TEST(FlatJson, RejectsMalformedInputWithoutThrowing) {
   EXPECT_FALSE(util::parse_flat_json("{\"a\":1} trailing").has_value());
   EXPECT_TRUE(util::parse_flat_json("{}").has_value());
   EXPECT_TRUE(util::parse_flat_json(" {\"a\": 1 } ").has_value());
+}
+
+/// The doubles the writer pins: 1M raw bit patterns from util::Rng (every
+/// exponent, NaN payloads included), dyadic values, every power of two,
+/// integers up to 2^53, and the edges (signed zeros, subnormals,
+/// DBL_MIN, denorm_min, ±DBL_MAX, ±inf, NaN).
+std::vector<double> writer_doubles() {
+  std::vector<double> values;
+  util::Rng rng(0x5eed);
+  for (int i = 0; i < 1'000'000; ++i)
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+  for (int i = 0; i < 20'000; ++i) {
+    const auto mantissa = static_cast<double>(rng.uniform_int(-(1LL << 53), 1LL << 53));
+    values.push_back(std::ldexp(mantissa, static_cast<int>(rng.uniform_int(-1074, 971))));
+    values.push_back(static_cast<double>(rng.uniform_int(0, 1LL << 53)));
+    values.push_back(static_cast<double>(rng.uniform_int(-1'000'000, 1'000'000)));
+  }
+  for (int exponent = -1074; exponent <= 1023; ++exponent)
+    values.push_back(std::ldexp(1.0, exponent));
+  for (std::int64_t k = 0; k <= 4096; ++k) {
+    values.push_back(static_cast<double>((1LL << 53) - k));
+    values.push_back(static_cast<double>(k));
+  }
+  using limits = std::numeric_limits<double>;
+  for (double edge : {0.0, limits::denorm_min(), limits::min(),
+                      limits::min() - limits::denorm_min(), limits::max(),
+                      limits::infinity(), limits::quiet_NaN(), 0.1, 1.0 / 3.0})
+    values.insert(values.end(), {edge, -edge});
+  return values;
+}
+
+TEST(FlatJson, NumbersAreWrittenExactlyAsPrintfPercent17g) {
+  // e2ebench's output check builds its expected bytes with this same
+  // writer, so only a test against printf itself pins the journal bytes.
+  for (double value : writer_doubles()) {
+    const std::string text = util::write_flat_json({{"x", value}});
+    ASSERT_EQ(text, "{\"x\":" + util::strfmt("%.17g", value) + "}")
+        << "bits " << std::bit_cast<std::uint64_t>(value);
+  }
+}
+
+TEST(FlatJson, WriteThenParseReturnsEveryFiniteDoubleBitExactly) {
+  for (double value : writer_doubles()) {
+    if (!std::isfinite(value)) continue;
+    const auto parsed =
+        util::parse_flat_json(util::write_flat_json({{"x", value}}));
+    ASSERT_TRUE(parsed.has_value());
+    const auto number = util::json_number(*parsed, "x");
+    ASSERT_TRUE(number.has_value());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(*number),
+              std::bit_cast<std::uint64_t>(value));
+  }
+}
+
+TEST(FlatJson, EscapesEveryControlByteQuoteAndBackslashToAPinnedLiteral) {
+  std::string text;
+  for (char byte = 0x01; byte <= 0x1f; ++byte) text += byte;
+  text += "\"\\";
+  EXPECT_EQ(util::write_flat_json({{text, text}}),
+            R"({"\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r)"
+            R"(\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+            R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\":)"
+            R"("\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b\f\r)"
+            R"(\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+            R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f\"\\"})");
+  const auto parsed = util::parse_flat_json(util::write_flat_json({{"s", text}}));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*util::json_string(*parsed, "s"), text);
 }
 
 // --- the journal itself ---
