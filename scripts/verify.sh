@@ -6,7 +6,8 @@
 #                                  AddressSanitizer + UBSan (asan-ubsan preset)
 #   scripts/verify.sh --tsan       additionally build under ThreadSanitizer
 #                                  and run the concurrency-sensitive suites
-#                                  (sweep engine and its attempt runner,
+#                                  (sweep engine, its group commit under
+#                                  SIGKILL and its attempt runner,
 #                                  determinism, journal, calibration,
 #                                  skeleton, usage and best-variant
 #                                  artifact caches, serve daemon, shards,
@@ -17,7 +18,9 @@
 #                                  and gate each against its checked-in
 #                                  bench/BENCH_*.json baseline; a bench
 #                                  without a committed baseline fails
-#                                  loudly naming the expected path
+#                                  loudly naming the expected path. Every
+#                                  gate runs even after one fails; the
+#                                  failing gates are listed at the end
 #   scripts/verify.sh --serve      additionally run the live daemon smoke:
 #                                  serve_daemon on a real socket under a
 #                                  loadgen burst (scripts/serve_smoke.sh)
@@ -69,13 +72,16 @@ for arg in "$@"; do
       # TSan slows everything ~10x; focus it on the code that actually
       # shares state across threads (ctest names are GTest suite.test).
       run_preset tsan --no-tests=error -R \
-        '^(KernelModel|SweepEngine|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos|CrossMachineSweep)\.'
+        '^(KernelModel|SweepEngine|GroupCommitCrash|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos|CrossMachineSweep)\.'
       ;;
     --bench)
       # Discover the benches from the built binaries instead of a
       # hand-maintained list: a new micro bench is gated the moment it
       # builds, and one whose committed baseline is missing fails loudly
-      # with the expected path instead of being silently skipped.
+      # with the expected path instead of being silently skipped. Every
+      # gate runs even when an earlier one fails, so one flaky entry
+      # cannot hide the verdict of the gates after it.
+      failed_gates=()
       for bench_bin in ./build/bench/micro_*; do
         if [ ! -x "${bench_bin}" ]; then
           echo "FAIL: no micro_* bench binaries under ./build/bench —" \
@@ -92,22 +98,31 @@ for arg in "$@"; do
           echo "FAIL: micro_${bench} has no committed baseline —" \
             "expected ${baseline} (run ${bench_bin} --out ${baseline}" \
             "and commit it)" >&2
-          exit 1
+          failed_gates+=("micro_${bench} (no baseline)")
+          continue
         fi
         echo "=== verify: bench (micro_${bench} vs ${baseline}) ==="
-        "${bench_bin}" --out "build/BENCH_${bench}.json"
-        scripts/bench_compare "${baseline}" "build/BENCH_${bench}.json"
+        if ! "${bench_bin}" --out "build/BENCH_${bench}.json" ||
+          ! scripts/bench_compare "${baseline}" "build/BENCH_${bench}.json"; then
+          failed_gates+=("micro_${bench}")
+        fi
       done
+      echo "=== verify: bench (cross_machine_report vs bench/BENCH_machines.json) ==="
       if [ ! -f bench/BENCH_machines.json ]; then
         echo "FAIL: cross_machine_report has no committed baseline —" \
           "expected bench/BENCH_machines.json" >&2
+        failed_gates+=("cross_machine_report (no baseline)")
+      elif ! ./build/bench/cross_machine_report \
+          --out build/BENCH_machines.json > /dev/null ||
+        ! scripts/bench_compare bench/BENCH_machines.json \
+          build/BENCH_machines.json; then
+        failed_gates+=("cross_machine_report")
+      fi
+      if [ "${#failed_gates[@]}" -gt 0 ]; then
+        echo "FAIL: ${#failed_gates[@]} bench gate(s) failed:" >&2
+        printf '  %s\n' "${failed_gates[@]}" >&2
         exit 1
       fi
-      echo "=== verify: bench (cross_machine_report vs bench/BENCH_machines.json) ==="
-      ./build/bench/cross_machine_report --out build/BENCH_machines.json \
-        > /dev/null
-      scripts/bench_compare bench/BENCH_machines.json \
-        build/BENCH_machines.json
       ;;
     --serve)
       echo "=== verify: serve smoke (daemon + loadgen over AF_UNIX) ==="

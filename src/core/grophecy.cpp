@@ -78,41 +78,48 @@ ProjectionOptions validated(ProjectionOptions options) {
 }  // namespace
 
 void ProjectionOptions::validate() const {
-  auto require = [](bool ok, const char* field, const std::string& why) {
-    if (!ok)
-      throw UsageError(util::strfmt("ProjectionOptions.%s %s", field,
-                                    why.c_str()));
+  // Messages are formatted only for a failing check: every engine
+  // construction validates. Each check is written !(ok) so NaN fails.
+  const auto fail = [](const char* field, const std::string& why) {
+    throw UsageError(util::strfmt("ProjectionOptions.%s %s", field,
+                                  why.c_str()));
   };
-  require(measurement_runs > 0, "measurement_runs",
-          util::strfmt("must be positive, got %d", measurement_runs));
-  require(calibration.replicates > 0, "calibration.replicates",
-          util::strfmt("must be positive, got %d", calibration.replicates));
-  require(calibration.small_bytes > 0, "calibration.small_bytes",
-          "must be positive");
-  require(calibration.small_bytes < calibration.large_bytes,
-          "calibration.large_bytes", "must exceed small_bytes");
+  if (!(measurement_runs > 0))
+    fail("measurement_runs",
+         util::strfmt("must be positive, got %d", measurement_runs));
+  if (!(calibration.replicates > 0))
+    fail("calibration.replicates",
+         util::strfmt("must be positive, got %d", calibration.replicates));
+  if (!(calibration.small_bytes > 0))
+    fail("calibration.small_bytes", "must be positive");
+  if (!(calibration.small_bytes < calibration.large_bytes))
+    fail("calibration.large_bytes", "must exceed small_bytes");
   const pcie::RobustnessOptions& r = calibration.robustness;
-  require(r.max_retries >= 0, "calibration.robustness.max_retries",
-          util::strfmt("must be non-negative, got %d", r.max_retries));
-  require(r.timeout_s > 0.0, "calibration.robustness.timeout_s",
-          util::strfmt("must be positive, got %g", r.timeout_s));
-  require(r.backoff_initial_s > 0.0, "calibration.robustness.backoff_initial_s",
-          "must be positive");
-  require(r.backoff_max_s >= r.backoff_initial_s,
-          "calibration.robustness.backoff_max_s",
-          "must be >= backoff_initial_s");
-  require(r.outlier_z > 0.0, "calibration.robustness.outlier_z",
-          "must be positive");
-  require(r.target_rel_half_width > 0.0,
-          "calibration.robustness.target_rel_half_width", "must be positive");
-  require(r.max_replicates >= calibration.replicates,
-          "calibration.robustness.max_replicates",
-          "must be >= calibration.replicates");
+  if (!(r.max_retries >= 0))
+    fail("calibration.robustness.max_retries",
+         util::strfmt("must be non-negative, got %d", r.max_retries));
+  if (!(r.timeout_s > 0.0))
+    fail("calibration.robustness.timeout_s",
+         util::strfmt("must be positive, got %g", r.timeout_s));
+  if (!(r.backoff_initial_s > 0.0))
+    fail("calibration.robustness.backoff_initial_s", "must be positive");
+  if (!(r.backoff_max_s >= r.backoff_initial_s))
+    fail("calibration.robustness.backoff_max_s",
+         "must be >= backoff_initial_s");
+  if (!(r.outlier_z > 0.0))
+    fail("calibration.robustness.outlier_z", "must be positive");
+  if (!(r.target_rel_half_width > 0.0))
+    fail("calibration.robustness.target_rel_half_width", "must be positive");
+  if (!(r.max_replicates >= calibration.replicates))
+    fail("calibration.robustness.max_replicates",
+         "must be >= calibration.replicates");
   for (std::uint64_t bytes : calibration.sweep_bytes)
-    require(bytes > 0, "calibration.sweep_bytes", "entries must be positive");
+    if (!(bytes > 0))
+      fail("calibration.sweep_bytes", "entries must be positive");
   for (int fuse : fusion_candidates)
-    require(fuse >= 1, "fusion_candidates",
-            util::strfmt("entries must be >= 1, got %d", fuse));
+    if (!(fuse >= 1))
+      fail("fusion_candidates",
+           util::strfmt("entries must be >= 1, got %d", fuse));
 }
 
 Grophecy::Grophecy(hw::MachineSpec machine, ProjectionOptions options)

@@ -1,5 +1,7 @@
 #include "exec/journal.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 
@@ -19,6 +21,8 @@ namespace {
 constexpr std::string_view kPrefix = "{\"crc\":\"";      // then 8 hex chars
 constexpr std::string_view kMiddle = "\",\"rec\":";      // then the payload
 constexpr std::size_t kCrcHexLen = 8;
+static_assert(ResultJournal::kFrameBytes ==
+              kPrefix.size() + kCrcHexLen + kMiddle.size() + 2);
 
 /// Extracts and verifies one journal line; empty optional when torn or
 /// corrupt.
@@ -34,6 +38,33 @@ std::optional<std::string> validate_line(std::string_view line) {
       rec_at + kMiddle.size(), line.size() - rec_at - kMiddle.size() - 1);
   if (util::crc32_hex(payload) != crc) return std::nullopt;
   return std::string(payload);
+}
+
+/// Cuts everything after the last newline of `path`. Every append ends
+/// its line, so those bytes are a torn line from a crash mid-write; left
+/// in place, the next append would glue its record onto them and lose it.
+void drop_torn_tail(const std::string& path) {
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  if (!file) return;
+  const std::streamoff end = file.tellg();
+  std::streamoff keep = end;
+  char chunk[4096];
+  while (keep > 0) {
+    const std::streamoff from =
+        std::max<std::streamoff>(0, keep - std::streamoff{sizeof chunk});
+    file.seekg(from);
+    if (!file.read(chunk, keep - from)) return;
+    const std::string_view bytes(chunk, static_cast<std::size_t>(keep - from));
+    if (const std::size_t newline = bytes.rfind('\n');
+        newline != std::string_view::npos) {
+      keep = from + static_cast<std::streamoff>(newline) + 1;
+      break;
+    }
+    keep = from;
+  }
+  file.close();
+  if (keep < end)
+    std::filesystem::resize_file(path, static_cast<std::uintmax_t>(keep));
 }
 
 }  // namespace
@@ -66,23 +97,36 @@ JournalReadResult ResultJournal::read(const std::string& path) {
 void ResultJournal::open_append(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   GROPHECY_EXPECTS(file_ == nullptr);
+  drop_torn_tail(path);
   file_ = std::fopen(path.c_str(), "ab");
   if (!file_)
     throw UsageError("cannot open sweep journal for append: " + path);
+  // Unbuffered: each fwrite is one write(2) of the whole record or group,
+  // with no copy through (and no split at) a stdio buffer.
+  std::setvbuf(file_, nullptr, _IONBF, 0);
 }
 
 void ResultJournal::append(std::string_view payload, bool sync_now) {
-  GROPHECY_EXPECTS(payload.find('\n') == std::string_view::npos);
   std::string line;
-  line.reserve(payload.size() + 32);
-  line += kPrefix;
-  line += util::crc32_hex(payload);
-  line += kMiddle;
-  line += payload;
-  line += "}\n";
+  line.reserve(payload.size() + kFrameBytes);
+  frame(line, payload);
+  append_framed(line, sync_now);
+}
+
+void ResultJournal::frame(std::string& lines, std::string_view payload) {
+  GROPHECY_EXPECTS(payload.find('\n') == std::string_view::npos);
+  lines += kPrefix;
+  lines += util::crc32_hex(payload);
+  lines += kMiddle;
+  lines += payload;
+  lines += "}\n";
+}
+
+void ResultJournal::append_framed(std::string_view lines, bool sync_now) {
+  GROPHECY_EXPECTS(lines.empty() || lines.back() == '\n');
   std::lock_guard<std::mutex> lock(mutex_);
   GROPHECY_EXPECTS(file_ != nullptr);
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+  if (std::fwrite(lines.data(), 1, lines.size(), file_) != lines.size() ||
       std::fflush(file_) != 0)
     throw MeasurementError("sweep journal write failed");
   if (sync_now) sync_locked();

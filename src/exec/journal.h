@@ -9,11 +9,15 @@
 //   * checksummed: every line carries a CRC-32 of its payload, so a torn
 //     final line (the crash artifact) is detected and skipped on read
 //     instead of being parsed as garbage;
-//   * durable: an append is flushed to the OS immediately and fsync'd
-//     either inline (the default) or at the caller's next sync() — the
-//     sweep engine batches the fsync per committed run of jobs; an
-//     acknowledged record survives an immediate crash, an unsynced tail
-//     is at worst the torn-line case the reader already tolerates;
+//   * durable: an append reaches the OS in one write and is fsync'd
+//     either inline (the default) or at the caller's next sync(). The
+//     sweep engine group-commits: it frames each run of consecutive
+//     finished records into one buffer (frame()), writes it with one
+//     fwrite and fflush (append_framed()), and fsyncs before it waits.
+//     An acknowledged record survives an immediate crash; an unsynced
+//     tail is at worst the torn-line case the reader already tolerates,
+//     and open_append() cuts such a torn line before appending, so the
+//     next record starts a fresh line;
 //   * thread-safe: append/sync/close serialize on an internal mutex, so
 //     concurrent writers cannot interleave bytes of two records;
 //   * tolerant: read() never throws on a damaged file — it returns every
@@ -76,8 +80,10 @@ class ResultJournal {
   /// the rest. Never throws.
   static JournalReadResult read(const std::string& path);
 
-  /// Opens `path` for appending (created if missing). Throws
-  /// grophecy::UsageError when the file cannot be opened.
+  /// Opens `path` for appending (created if missing). A torn final line —
+  /// bytes after the last newline, which only a crash mid-write leaves —
+  /// is cut first. Throws grophecy::UsageError when the file cannot be
+  /// opened.
   void open_append(const std::string& path);
 
   bool is_open() const { return file_ != nullptr; }
@@ -88,6 +94,16 @@ class ResultJournal {
   /// returning; pass false to batch the fsync and call sync() once per
   /// group of appends.
   void append(std::string_view payload, bool sync_now = true);
+
+  /// Appends `payload`'s journal line — checksum wrapper and newline — to
+  /// `lines`, for append_framed. The payload must be a single line.
+  static void frame(std::string& lines, std::string_view payload);
+  /// The bytes frame() adds around a payload.
+  static constexpr std::size_t kFrameBytes = 26;
+
+  /// Writes lines built by frame() with one fwrite and one fflush, so a
+  /// group of records costs one write. Not fsync'd unless sync_now.
+  void append_framed(std::string_view lines, bool sync_now = false);
 
   /// Pushes everything appended so far through the OS cache (fsync).
   void sync();

@@ -47,12 +47,7 @@ static std::string identity_of(const JobSpec& spec) {
 }
 
 std::string JobSpec::fingerprint() const {
-  // Sixteen lowercase hex digits, zero padded.
-  std::uint64_t hash = util::fnv1a64(identity_of(*this));
-  std::string hex(16, '0');
-  for (auto digit = hex.rbegin(); digit != hex.rend(); ++digit, hash >>= 4)
-    *digit = "0123456789abcdef"[hash & 0xf];
-  return hex;
+  return util::hex_digits(util::fnv1a64(identity_of(*this)), 16);
 }
 
 std::uint64_t JobSpec::stream_seed(std::uint64_t base_seed) const {

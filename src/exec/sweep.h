@@ -22,7 +22,8 @@
 //   * journaling  every finished job (ok or failed) is appended to a
 //                 crash-safe checksummed journal (exec::ResultJournal)
 //                 keyed by a deterministic job fingerprint and made
-//                 durable before the sweep moves past it;
+//                 durable before the committer waits for or runs
+//                 another job;
 //   * resume      a sweep pointed at an existing journal re-runs only the
 //                 jobs that are missing or failed; completed results are
 //                 replayed from the journal without re-measuring.
@@ -43,9 +44,13 @@
 //     scheduling order;
 //   * commit: one loop appends every job to the journal and the summary
 //     in submission order, so the journal bytes and the summary are the
-//     same for 1 worker, 100, or N shards. Each append is flushed at once
-//     and fsync'd before the committer waits for or runs the next job:
-//     with one worker, before the next job starts.
+//     same for 1 worker, 100, or N shards. Pool workers write each
+//     outcome straight into its place in the summary and wake the
+//     committer only for the job it waits for. Records are
+//     group-committed: each run of consecutive finished records goes to
+//     the OS in one write of at most 64 KiB, and everything committed is
+//     written and fsync'd before the committer waits for or runs the
+//     next job — with one worker, before the next job starts.
 //
 // See docs/robustness.md ("The sweep-level degradation ladder" and
 // "Concurrency and determinism") for the full policy write-up, and

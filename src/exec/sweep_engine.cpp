@@ -53,6 +53,10 @@ JobError classify_current_exception() {
 
 namespace {
 
+/// A run of committed records is written before it would pass this size,
+/// so the committer's buffer stays bounded however far the pool runs ahead.
+constexpr std::size_t kGroupCommitBytes = 64 * 1024;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -62,29 +66,34 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 void SweepOptions::validate() const {
-  auto require = [](bool ok, const char* field, const std::string& why) {
-    if (!ok)
-      throw UsageError(util::strfmt("SweepOptions.%s %s", field,
-                                    why.c_str()));
+  // As in ProjectionOptions::validate: a message is formatted only for a
+  // failing check, and each check is written !(ok) so NaN fails too.
+  const auto fail = [](const char* field, const std::string& why) {
+    throw UsageError(util::strfmt("SweepOptions.%s %s", field,
+                                  why.c_str()));
   };
-  require(workers >= 0, "workers",
-          util::strfmt("must be non-negative, got %d", workers));
-  require(shards >= 0, "shards",
-          util::strfmt("must be non-negative, got %d", shards));
-  require(max_retries >= 0, "max_retries",
-          util::strfmt("must be non-negative, got %d", max_retries));
-  require(backoff_initial_s >= 0.0, "backoff_initial_s",
-          util::strfmt("must be non-negative, got %g", backoff_initial_s));
-  require(backoff_max_s >= backoff_initial_s, "backoff_max_s",
-          util::strfmt("must be >= backoff_initial_s (%g), got %g",
-                       backoff_initial_s, backoff_max_s));
-  // NaN fails the comparison too, which is exactly right.
-  require(deadline_s > 0.0, "deadline_s",
-          util::strfmt("must be positive, got %g", deadline_s));
-  require(heartbeat_timeout_s > 0.0, "heartbeat_timeout_s",
-          util::strfmt("must be positive, got %g", heartbeat_timeout_s));
-  require(poison_kill_threshold >= 1, "poison_kill_threshold",
-          util::strfmt("must be >= 1, got %d", poison_kill_threshold));
+  if (!(workers >= 0))
+    fail("workers", util::strfmt("must be non-negative, got %d", workers));
+  if (!(shards >= 0))
+    fail("shards", util::strfmt("must be non-negative, got %d", shards));
+  if (!(max_retries >= 0))
+    fail("max_retries",
+         util::strfmt("must be non-negative, got %d", max_retries));
+  if (!(backoff_initial_s >= 0.0))
+    fail("backoff_initial_s",
+         util::strfmt("must be non-negative, got %g", backoff_initial_s));
+  if (!(backoff_max_s >= backoff_initial_s))
+    fail("backoff_max_s",
+         util::strfmt("must be >= backoff_initial_s (%g), got %g",
+                      backoff_initial_s, backoff_max_s));
+  if (!(deadline_s > 0.0))
+    fail("deadline_s", util::strfmt("must be positive, got %g", deadline_s));
+  if (!(heartbeat_timeout_s > 0.0))
+    fail("heartbeat_timeout_s",
+         util::strfmt("must be positive, got %g", heartbeat_timeout_s));
+  if (!(poison_kill_threshold >= 1))
+    fail("poison_kill_threshold",
+         util::strfmt("must be >= 1, got %d", poison_kill_threshold));
 }
 
 void SweepEngine::tally(SweepSummary& summary, const JobOutcome& outcome) {
@@ -239,7 +248,9 @@ JobOutcome SweepEngine::execute_job(const JobSpec& spec, const JobFn& fn) {
 SweepSummary SweepEngine::run(const std::vector<JobSpec>& jobs,
                               const JobFn& fn) {
   SweepSummary summary;
-  summary.outcomes.reserve(jobs.size());
+  // One outcome per job, each filled in place: by a pool worker, or by the
+  // commit loop below.
+  summary.outcomes.resize(jobs.size());
   const bool sharded = options_.shards > 0 && !jobs.empty();
 
   // 1. Plan, in submission order, before anything runs. A repeated
@@ -308,20 +319,27 @@ SweepSummary SweepEngine::run(const std::vector<JobSpec>& jobs,
   summary.quarantined = supervised.quarantined;
   summary.respawn_backoff_s = supervised.respawn_backoff_s;
 
+  // A pool worker writes each outcome into its place in the summary,
+  // marks the job done, and wakes the committer only when that is the
+  // job it waits for.
   std::mutex mutex;
   std::condition_variable done_cv;
-  std::map<std::size_t, JobOutcome> done;  // Finished, not yet committed.
+  std::vector<char> done(jobs.size(), 0);  // Guarded by mutex.
+  std::size_t awaited = jobs.size();        // Guarded by mutex.
   std::atomic<std::size_t> next_pending{0};
   const auto drain = [&] {
     for (std::size_t p;
          (p = next_pending.fetch_add(1, std::memory_order_relaxed)) <
          pending.size();) {
-      JobOutcome outcome = execute_job(jobs[pending[p]], fn);
+      const std::size_t i = pending[p];
+      summary.outcomes[i] = execute_job(jobs[i], fn);
+      bool wake = false;
       {
         std::lock_guard<std::mutex> lock(mutex);
-        done.emplace(pending[p], std::move(outcome));
+        done[i] = 1;
+        wake = awaited == i;
       }
-      done_cv.notify_one();
+      if (wake) done_cv.notify_one();
     }
   };
   std::vector<std::jthread> pool;
@@ -331,33 +349,48 @@ SweepSummary SweepEngine::run(const std::vector<JobSpec>& jobs,
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
 
   // 3. Commit, in submission order: the journal, the counters and the
-  // outcome list are identical for any worker or shard count. Each append
-  // is flushed at once; the fsync is batched, once before the committer
-  // waits for or runs the next job and once at the end, so a crash loses
-  // at most the unsynced tail — the torn-tail case the reader tolerates.
+  // outcome list are identical for any worker or shard count. Records are
+  // group-committed: each run of consecutive finished records is framed
+  // into one buffer and written with one fwrite and fflush before the
+  // committer waits for or runs the next job, before the buffer would pass
+  // kGroupCommitBytes, and at the end. An fsync follows the write before a
+  // wait or a run and at the end, so with one worker each record is
+  // written and fsync'd before the next job starts, and a crash loses at
+  // most the unsynced tail — the torn-tail case the reader tolerates.
+  std::string group;  // Framed records not yet written.
+  if (journal.is_open()) group.reserve(kGroupCommitBytes);
   bool unsynced = false;
+  const auto write_group = [&] {
+    if (group.empty()) return;
+    journal.append_framed(group);
+    group.clear();
+    unsynced = true;
+  };
   const auto sync = [&] {
+    write_group();
     if (unsynced) journal.sync();
     unsynced = false;
   };
-  const auto executed = [&](std::size_t i) {
+  // Leaves job i's outcome in summary.outcomes[i]: runs it inline with
+  // one worker, or waits for the pool to finish it.
+  const auto execute_or_await = [&](std::size_t i) {
     if (pool.empty()) {
       sync();
-      return execute_job(jobs[i], fn);
+      summary.outcomes[i] = execute_job(jobs[i], fn);
+      return;
     }
     std::unique_lock<std::mutex> lock(mutex);
-    if (done.count(i) == 0) {
-      lock.unlock();
-      sync();
-      lock.lock();
-      done_cv.wait(lock, [&] { return done.count(i) != 0; });
-    }
-    return std::move(done.extract(i).mapped());
+    if (done[i]) return;
+    lock.unlock();
+    sync();
+    lock.lock();
+    awaited = i;
+    done_cv.wait(lock, [&] { return done[i] != 0; });
   };
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Planned& step = plan[i];
-    JobOutcome outcome;
+    JobOutcome& outcome = summary.outcomes[i];
     std::string bytes;  // Appended to the journal unless empty.
     if (step.duplicate_of) {
       // A duplicate of a successful (or resumed) job reuses its result; a
@@ -383,15 +416,16 @@ SweepSummary SweepEngine::run(const std::vector<JobSpec>& jobs,
       std::tie(outcome, bytes) =
           shard::settle(jobs[i], supervised.jobs.at(i));
     } else {
-      outcome = executed(i);
+      execute_or_await(i);
       if (journal.is_open()) bytes = outcome.record.to_json();
     }
     if (journal.is_open() && !bytes.empty()) {
-      journal.append(bytes, /*sync_now=*/false);
-      unsynced = true;
+      if (group.size() + bytes.size() + ResultJournal::kFrameBytes >
+          kGroupCommitBytes)
+        write_group();
+      ResultJournal::frame(group, bytes);
     }
     tally(summary, outcome);
-    summary.outcomes.push_back(std::move(outcome));
   }
   sync();
   // Every recovered or acked record is durable in the canonical journal

@@ -33,13 +33,18 @@ double SimulatedBus::expected_time(std::uint64_t bytes, hw::Direction dir,
 
 double SimulatedBus::time_transfer(std::uint64_t bytes, hw::Direction dir,
                                    hw::HostMemory mem) {
-  const double base = expected_time(bytes, dir, mem);
+  return draw(expected_time(bytes, dir, mem), jitter_sigma(bytes));
+}
+
+double SimulatedBus::jitter_sigma(std::uint64_t bytes) const {
   const hw::PcieNoiseProfile& n = spec_.noise;
-
   const double d = static_cast<double>(bytes);
-  const double sigma = n.sigma_floor + n.sigma_small / (1.0 + d / n.small_scale_bytes);
-  double t = rng_.lognormal(base, sigma);
+  return n.sigma_floor + n.sigma_small / (1.0 + d / n.small_scale_bytes);
+}
 
+double SimulatedBus::draw(double base, double sigma) {
+  const hw::PcieNoiseProfile& n = spec_.noise;
+  double t = rng_.lognormal(base, sigma);
   if (n.outlier_probability > 0.0 && rng_.bernoulli(n.outlier_probability)) {
     t *= n.outlier_factor;
   }
@@ -49,8 +54,12 @@ double SimulatedBus::time_transfer(std::uint64_t bytes, hw::Direction dir,
 double SimulatedBus::measure_mean(std::uint64_t bytes, hw::Direction dir,
                                   hw::HostMemory mem, int runs) {
   GROPHECY_EXPECTS(runs > 0);
+  // One expected time and one sigma per measurement; the draws are the
+  // per-run time_transfer draws, in the same order.
+  const double base = expected_time(bytes, dir, mem);
+  const double sigma = jitter_sigma(bytes);
   double sum = 0.0;
-  for (int i = 0; i < runs; ++i) sum += time_transfer(bytes, dir, mem);
+  for (int i = 0; i < runs; ++i) sum += draw(base, sigma);
   return sum / runs;
 }
 

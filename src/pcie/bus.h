@@ -54,6 +54,8 @@ class SimulatedBus final : public TransferTimer {
   /// by 10%, which two-point calibration then bakes into alpha or beta.
   /// Prefer measure_median, or the robust calibration pipeline
   /// (TransferCalibrator::calibrate_robust), when outliers are possible.
+  /// Computes the expected time once, then draws exactly as `runs`
+  /// time_transfer calls would.
   double measure_mean(std::uint64_t bytes, hw::Direction dir,
                       hw::HostMemory mem, int runs);
 
@@ -70,6 +72,11 @@ class SimulatedBus final : public TransferTimer {
   const hw::PcieSpec& spec() const { return spec_; }
 
  private:
+  /// The lognormal jitter's sigma for a transfer of `bytes` bytes.
+  double jitter_sigma(std::uint64_t bytes) const;
+  /// One noisy observation around `base`: jitter, then maybe an outlier.
+  double draw(double base, double sigma);
+
   hw::PcieSpec spec_;
   util::Rng rng_;
 };

@@ -102,17 +102,19 @@ SimBreakdown GpuSimulator::expected_launch(
   return out;
 }
 
-double KernelTimer::measure_launch_seconds(
-    const gpumodel::KernelCharacteristics& kc, int runs) {
+namespace {
+
+/// The mean of `runs` samples from `draw`. Numerically stable running
+/// mean (Welford): a plain sum can overflow to inf when a fault-injected
+/// heavy-tail outlier lands among the samples, silently poisoning the
+/// average. A non-finite sample is a broken observation, not a slow one —
+/// surface it as a retryable measurement failure instead of folding it in.
+template <typename Draw>
+double running_mean(int runs, Draw&& draw) {
   GROPHECY_EXPECTS(runs > 0);
-  // Numerically stable running mean (Welford): a plain sum can overflow to
-  // inf when a fault-injected heavy-tail outlier lands among the samples,
-  // silently poisoning the average. A non-finite sample is a broken
-  // observation, not a slow one — surface it as a retryable measurement
-  // failure instead of folding it in.
   double mean = 0.0;
   for (int i = 0; i < runs; ++i) {
-    const double sample = run_launch_seconds(kc);
+    const double sample = draw();
     if (!std::isfinite(sample))
       throw MeasurementError(
           "kernel timing returned a non-finite sample (run " +
@@ -123,10 +125,25 @@ double KernelTimer::measure_launch_seconds(
   return mean;
 }
 
+}  // namespace
+
+double KernelTimer::measure_launch_seconds(
+    const gpumodel::KernelCharacteristics& kc, int runs) {
+  return running_mean(runs, [&] { return run_launch_seconds(kc); });
+}
+
 double GpuSimulator::run_launch_seconds(
     const gpumodel::KernelCharacteristics& kc) {
   const double base = expected_launch(kc).total_s;
   return rng_.lognormal(base, gpu_.timing_jitter_sigma);
+}
+
+double GpuSimulator::measure_launch_seconds(
+    const gpumodel::KernelCharacteristics& kc, int runs) {
+  GROPHECY_EXPECTS(runs > 0);
+  const double base = expected_launch(kc).total_s;
+  return running_mean(
+      runs, [&] { return rng_.lognormal(base, gpu_.timing_jitter_sigma); });
 }
 
 }  // namespace grophecy::sim

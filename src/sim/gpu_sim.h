@@ -53,9 +53,12 @@ class KernelTimer {
   virtual double run_launch_seconds(
       const gpumodel::KernelCharacteristics& kc) = 0;
 
-  /// Arithmetic mean of `runs` observations (paper: mean of ten runs).
-  double measure_launch_seconds(const gpumodel::KernelCharacteristics& kc,
-                                int runs);
+  /// Arithmetic mean of `runs` observations (paper: mean of ten runs),
+  /// one run_launch_seconds call per run. A simulator whose expected time
+  /// is a pure function of `kc` overrides this to compute it once per
+  /// measurement; the draws and the mean stay bit-identical.
+  virtual double measure_launch_seconds(
+      const gpumodel::KernelCharacteristics& kc, int runs);
 };
 
 /// Stochastic simulator of a GpuSpec executing characterized kernels.
@@ -68,6 +71,10 @@ class GpuSimulator final : public KernelTimer {
 
   /// One noisy observation of a launch.
   double run_launch_seconds(const gpumodel::KernelCharacteristics& kc) override;
+
+  /// The per-run loop with expected_launch computed once.
+  double measure_launch_seconds(const gpumodel::KernelCharacteristics& kc,
+                                int runs) override;
 
   const hw::GpuSpec& gpu() const { return gpu_; }
 

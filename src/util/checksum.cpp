@@ -2,8 +2,6 @@
 
 #include <array>
 
-#include "util/table.h"
-
 namespace grophecy::util {
 
 namespace {
@@ -30,7 +28,14 @@ std::uint32_t crc32(std::string_view data) {
 }
 
 std::string crc32_hex(std::string_view data) {
-  return strfmt("%08x", crc32(data));
+  return hex_digits(crc32(data), 8);
+}
+
+std::string hex_digits(std::uint64_t value, std::size_t digits) {
+  std::string hex(digits, '0');
+  for (auto digit = hex.rbegin(); digit != hex.rend(); ++digit, value >>= 4)
+    *digit = "0123456789abcdef"[value & 0xf];
+  return hex;
 }
 
 std::uint64_t fnv1a64(std::string_view data) {

@@ -20,6 +20,11 @@ std::uint32_t crc32(std::string_view data);
 /// The checksum as fixed-width lowercase hex ("cbf43926").
 std::string crc32_hex(std::string_view data);
 
+/// The low 4 x `digits` bits of `value` as `digits` lowercase hex digits,
+/// zero padded: strfmt("%08x") for digits = 8, without printf. Used for
+/// journal checksums and job fingerprints.
+std::string hex_digits(std::uint64_t value, std::size_t digits);
+
 /// FNV-1a 64-bit hash of `data`. Deterministic across platforms and
 /// processes; used for sweep job fingerprints and per-job RNG stream
 /// derivation (cache keys fold fields with util::KeyBuilder instead).

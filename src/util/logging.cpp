@@ -23,9 +23,14 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level); }
 LogLevel log_level() { return g_level.load(); }
 
+bool log_enabled(LogLevel level) {
+  return level != LogLevel::kOff &&
+         static_cast<int>(level) >=
+             static_cast<int>(g_level.load(std::memory_order_relaxed));
+}
+
 void log_message(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
-  if (level == LogLevel::kOff) return;
+  if (!log_enabled(level)) return;
   std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
 }
 

@@ -4,6 +4,8 @@
 // loss), iteration behaviour, and fusion.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/experiment.h"
 #include "core/grophecy.h"
 #include "hw/registry.h"
@@ -210,6 +212,91 @@ TEST(Grophecy, RejectsBadOptions) {
   ProjectionOptions bad_timeout;
   bad_timeout.calibration.robustness.timeout_s = 0.0;
   EXPECT_THROW(Grophecy(hw::anl_eureka(), bad_timeout), UsageError);
+}
+
+TEST(ProjectionOptionsValidation, EveryInvalidFieldThrowsItsMessage) {
+  struct Case {
+    void (*mutate)(ProjectionOptions&);
+    const char* message;
+  };
+  const Case cases[] = {
+      {[](ProjectionOptions& o) { o.measurement_runs = 0; },
+       "ProjectionOptions.measurement_runs must be positive, got 0"},
+      {[](ProjectionOptions& o) { o.calibration.replicates = -2; },
+       "ProjectionOptions.calibration.replicates must be positive, got -2"},
+      {[](ProjectionOptions& o) { o.calibration.small_bytes = 0; },
+       "ProjectionOptions.calibration.small_bytes must be positive"},
+      {[](ProjectionOptions& o) {
+         o.calibration.large_bytes = o.calibration.small_bytes;
+       },
+       "ProjectionOptions.calibration.large_bytes must exceed small_bytes"},
+      {[](ProjectionOptions& o) { o.calibration.robustness.max_retries = -1; },
+       "ProjectionOptions.calibration.robustness.max_retries must be "
+       "non-negative, got -1"},
+      {[](ProjectionOptions& o) { o.calibration.robustness.timeout_s = 0.0; },
+       "ProjectionOptions.calibration.robustness.timeout_s must be positive, "
+       "got 0"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.timeout_s = std::nan("");
+       },
+       "ProjectionOptions.calibration.robustness.timeout_s must be positive, "
+       "got nan"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.timeout_s = -1.5;
+       },
+       "ProjectionOptions.calibration.robustness.timeout_s must be positive, "
+       "got -1.5"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.backoff_initial_s = 0.0;
+       },
+       "ProjectionOptions.calibration.robustness.backoff_initial_s must be "
+       "positive"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.backoff_max_s =
+             o.calibration.robustness.backoff_initial_s / 2;
+       },
+       "ProjectionOptions.calibration.robustness.backoff_max_s must be >= "
+       "backoff_initial_s"},
+      {[](ProjectionOptions& o) { o.calibration.robustness.outlier_z = -1.0; },
+       "ProjectionOptions.calibration.robustness.outlier_z must be positive"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.target_rel_half_width = std::nan("");
+       },
+       "ProjectionOptions.calibration.robustness.target_rel_half_width must "
+       "be positive"},
+      {[](ProjectionOptions& o) {
+         o.calibration.robustness.max_replicates =
+             o.calibration.replicates - 1;
+       },
+       "ProjectionOptions.calibration.robustness.max_replicates must be >= "
+       "calibration.replicates"},
+      {[](ProjectionOptions& o) { o.calibration.sweep_bytes = {64, 0}; },
+       "ProjectionOptions.calibration.sweep_bytes entries must be positive"},
+      {[](ProjectionOptions& o) { o.fusion_candidates = {1, 0, 2}; },
+       "ProjectionOptions.fusion_candidates entries must be >= 1, got 0"},
+  };
+  for (const Case& test_case : cases) {
+    ProjectionOptions options;
+    test_case.mutate(options);
+    try {
+      options.validate();
+      ADD_FAILURE() << "no UsageError; expected: " << test_case.message;
+    } catch (const UsageError& error) {
+      EXPECT_STREQ(error.what(), test_case.message);
+    }
+  }
+  // The first failing field wins, and the defaults validate.
+  ProjectionOptions two_bad;
+  two_bad.measurement_runs = -3;
+  two_bad.calibration.robustness.timeout_s = std::nan("");
+  try {
+    two_bad.validate();
+    ADD_FAILURE() << "no UsageError for two bad fields";
+  } catch (const UsageError& error) {
+    EXPECT_STREQ(error.what(),
+                 "ProjectionOptions.measurement_runs must be positive, got -3");
+  }
+  EXPECT_NO_THROW(ProjectionOptions{}.validate());
 }
 
 TEST(Grophecy, DeviceFootprintTracked) {

@@ -180,6 +180,27 @@ TEST(FaultyKernelTimer, WrapsTheGpuSimulator) {
   EXPECT_THROW(dead.run_launch_seconds(kc), MeasurementError);
 }
 
+/// Counts the runs a wrapper asks of it.
+class CountingTimer final : public sim::KernelTimer {
+ public:
+  double run_launch_seconds(const gpumodel::KernelCharacteristics&) override {
+    return 1e-3 * static_cast<double>(++calls);
+  }
+  int calls = 0;
+};
+
+// GpuSimulator's measurement computes its expected time once; a fault
+// wrapper must still perturb every run, so it keeps the per-run path
+// (WrapsTheGpuSimulator counts one fault draw per run through it).
+TEST(FaultyKernelTimer, SeesOneRunLaunchSecondsCallPerRun) {
+  CountingTimer inner;
+  FaultyKernelTimer faulty(inner, FaultPlan{});
+  const gpumodel::KernelCharacteristics kc;
+  EXPECT_DOUBLE_EQ(faulty.measure_launch_seconds(kc, 7), 4e-3);
+  EXPECT_EQ(inner.calls, 7);
+  EXPECT_EQ(faulty.stats().calls, 7u);
+}
+
 // --- acceptance: robust calibration under the paper's §V-A anomaly ---
 
 struct GroundTruth {

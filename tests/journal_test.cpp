@@ -62,6 +62,34 @@ TEST(Crc32, EmptyAndSensitivity) {
   EXPECT_NE(util::crc32("abc"), util::crc32("acb"));
 }
 
+// crc32_hex and JobSpec::fingerprint write their hex digits without
+// printf; the bytes must be exactly what "%08x" and "%016llx" print.
+TEST(Crc32, HexDigitsAreExactlyPrintfs) {
+  for (const std::uint32_t value :
+       {0u, 1u, 0xfu, 0x10u, 0xffu, 0x100u, 0xabcdefu, 0x0fffffffu,
+        0x10000000u, 0x7fffffffu, 0x80000000u, 0xfffffffeu, 0xffffffffu})
+    EXPECT_EQ(util::hex_digits(value, 8), util::strfmt("%08x", value));
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{0xffffffff},
+        std::uint64_t{1} << 63, ~std::uint64_t{0}})
+    EXPECT_EQ(util::hex_digits(value, 16),
+              util::strfmt("%016llx", static_cast<unsigned long long>(value)));
+  util::Rng rng(29);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t value = rng.next_u64();
+    ASSERT_EQ(util::hex_digits(value, 8),
+              util::strfmt("%08x", static_cast<std::uint32_t>(value)));
+    ASSERT_EQ(util::hex_digits(value, 16),
+              util::strfmt("%016llx", static_cast<unsigned long long>(value)));
+  }
+  std::string payload;
+  for (int i = 0; i < 4096; ++i) {
+    ASSERT_EQ(util::crc32_hex(payload),
+              util::strfmt("%08x", util::crc32(payload)));
+    payload.push_back(static_cast<char>(rng.next_u64()));
+  }
+}
+
 // --- flat JSON ---
 
 TEST(FlatJson, RoundTripsEveryScalarType) {
@@ -222,6 +250,76 @@ TEST(ResultJournal, TornFinalLineLosesOnlyTheInFlightRecord) {
   EXPECT_EQ(result.records[0], "{\"job\":1}");
   EXPECT_EQ(result.records[1], "{\"job\":2}");
   EXPECT_EQ(result.corrupt_lines, 1);
+}
+
+// Reopening after a crash cuts the torn line, so the next record starts a
+// fresh line instead of being glued onto the torn one and lost with it.
+TEST(ResultJournal, ReopenAfterATornTailStartsAFreshLine) {
+  TempFile file("reopen_torn");
+  TempFile clean("reopen_clean");
+  {
+    ResultJournal journal;
+    journal.open_append(file.path());
+    journal.append("{\"job\":1}");
+    journal.append("{\"job\":2}");
+    journal.append("{\"job\":3}");
+  }
+  fs::resize_file(file.path(), fs::file_size(file.path()) - 7);
+  {
+    ResultJournal journal;
+    journal.open_append(file.path());
+    journal.append("{\"job\":4}");
+  }
+  const JournalReadResult result = ResultJournal::read(file.path());
+  ASSERT_EQ(result.records.size(), 3u);
+  EXPECT_EQ(result.records[2], "{\"job\":4}");
+  EXPECT_EQ(result.corrupt_lines, 0);
+
+  // Byte for byte what an uninterrupted writer leaves.
+  {
+    ResultJournal journal;
+    journal.open_append(clean.path());
+    journal.append("{\"job\":1}");
+    journal.append("{\"job\":2}");
+    journal.append("{\"job\":4}");
+  }
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_EQ(bytes(file.path()), bytes(clean.path()));
+
+  // A file that is nothing but a torn line is cut to empty.
+  {
+    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+    out << "{\"crc\":\"12";
+  }
+  {
+    ResultJournal journal;
+    journal.open_append(file.path());
+    journal.append("{\"job\":5}");
+  }
+  const JournalReadResult rewritten = ResultJournal::read(file.path());
+  ASSERT_EQ(rewritten.records.size(), 1u);
+  EXPECT_EQ(rewritten.corrupt_lines, 0);
+}
+
+TEST(ResultJournal, FramedGroupReadsBackAsItsRecords) {
+  TempFile file("framed");
+  std::string group;
+  for (int i = 0; i < 3; ++i)
+    ResultJournal::frame(group, "{\"job\":" + std::to_string(i) + "}");
+  {
+    ResultJournal journal;
+    journal.open_append(file.path());
+    journal.append_framed(group, /*sync_now=*/true);
+  }
+  const JournalReadResult result = ResultJournal::read(file.path());
+  ASSERT_EQ(result.records.size(), 3u);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(result.records[static_cast<std::size_t>(i)],
+              "{\"job\":" + std::to_string(i) + "}");
+  EXPECT_EQ(result.corrupt_lines, 0);
 }
 
 TEST(ResultJournal, BitFlipInAnyRecordIsDetected) {

@@ -4,7 +4,9 @@
 // 1 MB, pinned beats pageable except tiny H2D transfers).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "hw/registry.h"
@@ -33,6 +35,46 @@ TEST(SimulatedBus, ExpectedTimeIsMonotonicInSize) {
         EXPECT_GT(t, prev);
         prev = t;
       }
+    }
+  }
+}
+
+// measure_mean computes the expected time once per measurement; the mean
+// must be the per-run time_transfer loop's, bit for bit, with and without
+// the paper's occasional 2x-slow outlier transfers (§V-A).
+TEST(SimulatedBus, MeasureMeanEqualsThePerRunLoopBitForBit) {
+  hw::PcieNoiseProfile outliers = eureka_pcie().noise;
+  outliers.outlier_probability = 0.2;
+  outliers.outlier_factor = 2.0;
+  for (const bool with_outliers : {false, true}) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xFEEDULL}) {
+      SimulatedBus batched(eureka_pcie(), seed);
+      SimulatedBus per_run(eureka_pcie(), seed);
+      if (with_outliers) {
+        batched.set_noise(outliers);
+        per_run.set_noise(outliers);
+      }
+      for (const std::uint64_t bytes :
+           {std::uint64_t{1}, std::uint64_t{4096}, 3 * util::kMiB + 17}) {
+        for (const HostMemory mem :
+             {HostMemory::kPinned, HostMemory::kPageable}) {
+          for (const int runs : {1, 3, 10}) {
+            const Direction dir = Direction::kDeviceToHost;
+            double sum = 0.0;
+            for (int i = 0; i < runs; ++i)
+              sum += per_run.time_transfer(bytes, dir, mem);
+            const double oracle = sum / runs;
+            const double mean = batched.measure_mean(bytes, dir, mem, runs);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
+                      std::bit_cast<std::uint64_t>(oracle))
+                << "seed " << seed << ", " << bytes << " B, runs " << runs;
+          }
+        }
+      }
+      EXPECT_EQ(batched.time_transfer(64, Direction::kHostToDevice,
+                                      HostMemory::kPinned),
+                per_run.time_transfer(64, Direction::kHostToDevice,
+                                      HostMemory::kPinned));
     }
   }
 }

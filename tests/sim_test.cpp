@@ -3,7 +3,9 @@
 // (the simulator charges for everything the model does, plus realism).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -192,6 +194,38 @@ TEST(KernelTimer, NonFiniteSampleThrowsMeasurementError) {
       {std::numeric_limits<double>::quiet_NaN()});
   EXPECT_THROW(nan_timer.measure_launch_seconds(KernelCharacteristics{}, 1),
                MeasurementError);
+}
+
+// GpuSimulator computes the expected time once per measurement; the
+// mean must be the per-run loop's, bit for bit, and leave the stream in
+// the same place.
+TEST(GpuSimulator, MeasureEqualsThePerRunLoopBitForBit) {
+  const AppSkeleton stream = streaming_app(1 << 20);
+  const AppSkeleton gather = gather_app(1 << 18);
+  const KernelCharacteristics kernels[] = {characterize_first(stream),
+                                           characterize_first(stream, 64),
+                                           characterize_first(gather, 128)};
+  hw::GpuSpec quiet = g80();
+  quiet.timing_jitter_sigma = 0.0;
+  for (const hw::GpuSpec& gpu : {g80(), quiet}) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xFEEDULL}) {
+      GpuSimulator batched(gpu, seed);
+      GpuSimulator per_run(gpu, seed);
+      for (const KernelCharacteristics& kc : kernels) {
+        for (const int runs : {1, 3, 10}) {
+          const double mean = batched.measure_launch_seconds(kc, runs);
+          // The base class's loop: one run_launch_seconds call per run.
+          const double oracle =
+              per_run.KernelTimer::measure_launch_seconds(kc, runs);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
+                    std::bit_cast<std::uint64_t>(oracle))
+              << "seed " << seed << ", runs " << runs;
+        }
+      }
+      EXPECT_EQ(batched.run_launch_seconds(kernels[0]),
+                per_run.run_launch_seconds(kernels[0]));
+    }
+  }
 }
 
 }  // namespace

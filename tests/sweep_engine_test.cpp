@@ -16,13 +16,19 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/experiment.h"
 #include "exec/journal.h"
@@ -474,6 +480,10 @@ TEST(SweepEngine, TornJournalTailResumesCleanly) {
   EXPECT_EQ(summary.resumed, 2);  // the two intact records survive
   EXPECT_EQ(summary.ok, 1);       // only the torn job re-ran
   EXPECT_EQ(calls, 1);
+  // The re-run record replaced the torn line instead of being glued to it.
+  const JournalReadResult healed = ResultJournal::read(journal.path());
+  EXPECT_EQ(healed.records.size(), 3u);
+  EXPECT_EQ(healed.corrupt_lines, 0);
 }
 
 TEST(SweepEngine, OneWorkerMakesEachRecordDurableBeforeTheNextJobStarts) {
@@ -494,6 +504,156 @@ TEST(SweepEngine, OneWorkerMakesEachRecordDurableBeforeTheNextJobStarts) {
   });
   EXPECT_EQ(summary.ok, 5);
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+// Group commit still hands every committed record to the OS before the
+// committer blocks: job d waits until a, b and c are in the file, which
+// happens only if the committer writes them before it waits for d.
+TEST(SweepEngine, PoolCommitterWritesEveryRecordBeforeItBlocks) {
+  TempJournal journal("before_block");
+  SweepOptions options;
+  options.workers = 2;
+  options.journal_path = journal.path();
+  const std::vector<JobSpec> jobs{{"W", "a", 1, ""},
+                                  {"W", "b", 1, ""},
+                                  {"W", "c", 1, ""},
+                                  {"W", "d", 1, ""},
+                                  {"W", "e", 1, ""}};
+  std::size_t seen_by_d = 0;
+  SweepEngine engine(options);
+  const SweepSummary summary = engine.run(jobs, [&](const JobSpec& spec) {
+    if (spec.size_label == "d") {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while ((seen_by_d = ResultJournal::read(journal.path()).records.size()) <
+                 3 &&
+             std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return fake_report(spec);
+  });
+  EXPECT_EQ(seen_by_d, 3u);
+  EXPECT_EQ(summary.ok, 5);
+}
+
+// --- group commit under SIGKILL ---
+// The committer writes each run of finished records with one write. Kill
+// a journaled 2-worker sweep at several points: whatever reached the file
+// must be a byte prefix of the fault-free journal (whole records in
+// submission order, then at most one torn line), and resuming must
+// restore the fault-free bytes exactly.
+
+/// 400 jobs with ~0.4 KiB records. Job 5 stalls while the other worker
+/// runs ahead, so the committer finds a run of finished records larger
+/// than one 64 KiB write.
+std::vector<JobSpec> crash_grid() {
+  const std::string pad(200, 'p');
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 400; ++i)
+    jobs.push_back({"W", pad + std::to_string(i), 1, ""});
+  return jobs;
+}
+
+core::ProjectionReport paced_report(const JobSpec& spec) {
+  const bool stall = spec.size_label.ends_with("p5");  // Job 5 only.
+  std::this_thread::sleep_for(stall ? std::chrono::microseconds(30000)
+                                    : std::chrono::microseconds(100));
+  return fake_report(spec);
+}
+
+SweepOptions crash_options(const std::string& path) {
+  SweepOptions options;
+  options.workers = 2;
+  options.journal_path = path;
+  options.record_wall_time = false;
+  return options;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(GroupCommitCrash, KilledSweepLeavesAPrefixAndResumesToTheSameBytes) {
+  const std::vector<JobSpec> jobs = crash_grid();
+  const int delays_ms[] = {0, 2, 6, 15, 30};
+  std::vector<std::unique_ptr<TempJournal>> killed;
+  int mid_sweep = 0;
+
+  // Fork every child before the parent starts a thread of its own.
+  for (const int delay_ms : delays_ms) {
+    killed.push_back(
+        std::make_unique<TempJournal>("crash" + std::to_string(delay_ms)));
+    const std::string& path = killed.back()->path();
+    int started[2];
+    ASSERT_EQ(::pipe(started), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      ::close(started[0]);
+      std::atomic<bool> told{false};
+      try {
+        SweepEngine engine(crash_options(path));
+        engine.run(jobs, [&](const JobSpec& spec) {
+          if (!told.exchange(true)) {
+            const char byte = 'g';
+            (void)!::write(started[1], &byte, 1);
+          }
+          return paced_report(spec);
+        });
+      } catch (...) {
+        ::_exit(1);
+      }
+      ::_exit(0);
+    }
+    ::close(started[1]);
+    char byte = 0;
+    ASSERT_EQ(::read(started[0], &byte, 1), 1);
+    ::close(started[0]);
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    if (WIFSIGNALED(status)) {
+      ++mid_sweep;
+    } else {
+      EXPECT_EQ(WEXITSTATUS(status), 0) << "the child's sweep failed";
+    }
+  }
+  EXPECT_GE(mid_sweep, 1);
+
+  TempJournal reference("crash_reference");
+  SweepEngine(crash_options(reference.path())).run(jobs, paced_report);
+  const std::string expected = file_bytes(reference.path());
+  const JournalReadResult expected_records =
+      ResultJournal::read(reference.path());
+  ASSERT_EQ(expected_records.records.size(), jobs.size());
+  const std::string expected_describe =
+      SweepEngine(crash_options(reference.path()))
+          .run(jobs, paced_report)
+          .describe();
+
+  for (const std::unique_ptr<TempJournal>& journal : killed) {
+    const std::string survived = file_bytes(journal->path());
+    ASSERT_LE(survived.size(), expected.size());
+    EXPECT_EQ(expected.compare(0, survived.size(), survived), 0)
+        << journal->path() << " is not a prefix of the fault-free journal";
+    const JournalReadResult read = ResultJournal::read(journal->path());
+    EXPECT_EQ(read.corrupt_interior, 0);
+    EXPECT_LE(read.corrupt_tail, 1);
+    for (std::size_t i = 0; i < read.records.size(); ++i)
+      ASSERT_EQ(read.records[i], expected_records.records[i]);
+
+    const SweepSummary resumed =
+        SweepEngine(crash_options(journal->path())).run(jobs, paced_report);
+    EXPECT_EQ(resumed.resumed, static_cast<int>(read.records.size()));
+    EXPECT_EQ(resumed.ok + resumed.resumed, static_cast<int>(jobs.size()));
+    EXPECT_EQ(file_bytes(journal->path()), expected) << journal->path();
+    EXPECT_EQ(SweepEngine(crash_options(journal->path()))
+                  .run(jobs, paced_report)
+                  .describe(),
+              expected_describe);
+  }
 }
 
 // --- the chaos sweep: the full acceptance scenario ---

@@ -1,6 +1,6 @@
 // Unit tests for the utility layer: RNG determinism and distribution
 // sanity, statistics (the paper's error-magnitude definition), units,
-// tables, CSV quoting, and contract checking.
+// tables, CSV quoting, contract checking, and the logger's level check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +8,7 @@
 
 #include "util/contracts.h"
 #include "util/csv.h"
+#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -349,6 +350,58 @@ TEST(Contracts, ViolationMessageNamesLocation) {
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
 }
+
+// --- GROPHECY_LOG ---
+
+/// Sets the log threshold for one test and restores it after.
+class ScopedLogLevel {
+ public:
+  explicit ScopedLogLevel(LogLevel level) : saved_(log_level()) {
+    set_log_level(level);
+  }
+  ~ScopedLogLevel() { set_log_level(saved_); }
+
+ private:
+  LogLevel saved_;
+};
+
+TEST(Logging, LineBelowTheThresholdEvaluatesNoOperand) {
+  const ScopedLogLevel level(LogLevel::kWarn);
+  int evaluated = 0;
+  const auto operand = [&] {
+    ++evaluated;
+    return "operand";
+  };
+  testing::internal::CaptureStderr();
+  GROPHECY_LOG(kInfo) << operand() << ' ' << operand();
+  GROPHECY_LOG(kDebug) << operand();
+  GROPHECY_LOG(kOff) << operand();
+  EXPECT_EQ(evaluated, 0);
+  GROPHECY_LOG(kWarn) << operand() << ' ' << 7;
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[warn] operand 7\n");
+}
+
+// An `if` inside the macro would steal the caller's `else`; the pragma
+// turns GCC's warning for that into an error in this test.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wdangling-else"
+TEST(Logging, MacroIsASafeUnbracedIfElseBody) {
+  const ScopedLogLevel level(LogLevel::kError);
+  testing::internal::CaptureStderr();
+  int else_taken = 0;
+  for (const bool shown : {true, false}) {
+    if (shown)
+      GROPHECY_LOG(kError) << "shown";
+    else
+      ++else_taken;
+  }
+  if (else_taken == 1) GROPHECY_LOG(kError) << "bare if";
+  EXPECT_EQ(else_taken, 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[error] shown\n[error] bare if\n");
+}
+#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace grophecy::util
