@@ -11,8 +11,10 @@
 #                                  determinism, journal, calibration,
 #                                  skeleton, usage and best-variant
 #                                  artifact caches, serve daemon, shards,
-#                                  the shared kernel-time model, and the
-#                                  pool over cross-machine specs)
+#                                  the shared kernel-time model, the pool
+#                                  over cross-machine specs, and the
+#                                  detailed simulator's helper-thread
+#                                  measurements)
 #   scripts/verify.sh --bench      additionally run every built micro_*
 #                                  benchmark (plus cross_machine_report)
 #                                  and gate each against its checked-in
@@ -72,7 +74,7 @@ for arg in "$@"; do
       # TSan slows everything ~10x; focus it on the code that actually
       # shares state across threads (ctest names are GTest suite.test).
       run_preset tsan --no-tests=error -R \
-        '^(KernelModel|SweepEngine|GroupCommitCrash|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos|CrossMachineSweep)\.'
+        '^(KernelModel|SweepEngine|GroupCommitCrash|StreamSeed|SweepDeterminism|SweepRequestValidation|Crc32|FlatJson|ResultJournal|JournalProcessDeath|JobSpec|JobRecord|AttemptRunner|CalibrationCacheTest|CalibrationCacheKey|ArtifactCache|SweepDedupe|ServeProtocol|ServeDaemon|ServeSoak|ServeEndToEnd|ShardProtocol|ShardPath|ShardOptionsValidation|ShardSupervisor|ShardMerge|ShardChaos|CrossMachineSweep|EventGpuSimulator)\.'
       ;;
     --bench)
       # Discover the benches from the built binaries instead of a

@@ -5,12 +5,14 @@
 // inherits the whole parent image — the JobFn closure, the parsed
 // workload suite, any warm calibration cache — so it can execute
 // arbitrary job functions with zero serialization of code or captured
-// state. It is deliberately single-threaded:
+// state. It is deliberately single-threaded between jobs (a job may
+// start threads of its own, such as a detailed kernel measurement's
+// helpers, but joins all of them before it returns):
 //
 //   * fork(2) of a multi-threaded process only carries the calling
-//     thread into the child; staying single-threaded on both sides
-//     keeps every fork well-defined (no locks held by threads that no
-//     longer exist);
+//     thread into the child; the supervisor forks while single-threaded
+//     and the worker never forks, which keeps every fork well-defined
+//     (no locks held by threads that no longer exist);
 //   * heartbeats are sent from the same thread that runs jobs, so a job
 //     spinning forever silences them — which is exactly how the
 //     supervisor detects a stuck worker. A background heartbeat thread

@@ -88,7 +88,8 @@ struct CohortSimStats {
 };
 
 /// The cohort engine. Owns reusable scratch so repeated simulations do not
-/// allocate. Not thread-safe; EventGpuSimulator owns one per instance.
+/// allocate. Not thread-safe: each EventGpuSimulator owns one, and every
+/// helper thread of a parallel measurement simulates on its own.
 class CohortEngine {
  public:
   /// Jitter-free expected launch body (no launch overhead added).

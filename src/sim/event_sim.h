@@ -25,6 +25,15 @@
 // specification, kept as a test oracle in tests/support/ (with the same
 // constructor, seeds and draw order); tests/sim_equivalence_test.cpp pins
 // the cohort engine to it, bitwise when jitter is off.
+//
+// A measurement's runs are independent once each knows where its draws
+// start, and every jittered run draws exactly num_blocks + 1 normals. So
+// measure_launch_seconds computes each run's starting stream up front
+// (util::Rng::discard_normals) and, for measurements big enough to pay
+// for a thread start, runs them on the calling thread plus helper
+// threads, each with its own CohortEngine. The samples fold in run order
+// through the per-run loop's Welford mean, so the result is bit-identical
+// to measuring one run after another.
 #pragma once
 
 #include <cstdint>
@@ -53,17 +62,26 @@ class EventGpuSimulator final : public KernelTimer {
   /// One observation with per-block lognormal jitter (plus launch jitter).
   double run_launch_seconds(const gpumodel::KernelCharacteristics& kc) override;
 
+  /// The mean of `runs` run_launch_seconds observations, bit for bit,
+  /// leaving the stream where the per-run loop would. When runs x
+  /// num_blocks is large enough, the runs execute on the calling thread
+  /// plus up to hardware_concurrency() - 1 helper threads drawn from one
+  /// process-wide budget; every helper is joined before this returns. A
+  /// failing run rethrows as the per-run loop's first failure would.
+  /// One instance still serves one caller at a time.
+  double measure_launch_seconds(const gpumodel::KernelCharacteristics& kc,
+                                int runs) override;
+
   const hw::GpuSpec& gpu() const { return gpu_; }
 
-  /// Counters from the cohort engine's most recent simulation. For
-  /// benches and tests.
+  /// Counters from this instance's cohort engine's most recent
+  /// simulation. For benches and tests. Helper threads simulate on their
+  /// own engines, so after a measure_launch_seconds call that used them
+  /// this is the last run the calling thread simulated, not necessarily
+  /// the measurement's last run.
   const CohortSimStats& last_stats() const { return engine_.stats(); }
 
  private:
-  /// Core fluid simulation; block_jitter_sigma = 0 gives the expectation.
-  double simulate(const gpumodel::KernelCharacteristics& kc,
-                  double block_jitter_sigma, util::Rng* rng) const;
-
   hw::GpuSpec gpu_;
   util::Rng rng_;
   mutable CohortEngine engine_;

@@ -1,13 +1,11 @@
 #include "sim/gpu_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 
 #include "gpumodel/kernel_model.h"
 #include "gpumodel/occupancy.h"
+#include "sim/running_mean.h"
 #include "util/contracts.h"
-#include "util/error.h"
 #include "util/units.h"
 
 namespace grophecy::sim {
@@ -102,34 +100,9 @@ SimBreakdown GpuSimulator::expected_launch(
   return out;
 }
 
-namespace {
-
-/// The mean of `runs` samples from `draw`. Numerically stable running
-/// mean (Welford): a plain sum can overflow to inf when a fault-injected
-/// heavy-tail outlier lands among the samples, silently poisoning the
-/// average. A non-finite sample is a broken observation, not a slow one —
-/// surface it as a retryable measurement failure instead of folding it in.
-template <typename Draw>
-double running_mean(int runs, Draw&& draw) {
-  GROPHECY_EXPECTS(runs > 0);
-  double mean = 0.0;
-  for (int i = 0; i < runs; ++i) {
-    const double sample = draw();
-    if (!std::isfinite(sample))
-      throw MeasurementError(
-          "kernel timing returned a non-finite sample (run " +
-          std::to_string(i + 1) + " of " + std::to_string(runs) + ")");
-    mean += (sample - mean) / static_cast<double>(i + 1);
-  }
-  GROPHECY_ENSURES(std::isfinite(mean));
-  return mean;
-}
-
-}  // namespace
-
 double KernelTimer::measure_launch_seconds(
     const gpumodel::KernelCharacteristics& kc, int runs) {
-  return running_mean(runs, [&] { return run_launch_seconds(kc); });
+  return detail::running_mean(runs, [&] { return run_launch_seconds(kc); });
 }
 
 double GpuSimulator::run_launch_seconds(
@@ -142,7 +115,7 @@ double GpuSimulator::measure_launch_seconds(
     const gpumodel::KernelCharacteristics& kc, int runs) {
   GROPHECY_EXPECTS(runs > 0);
   const double base = expected_launch(kc).total_s;
-  return running_mean(
+  return detail::running_mean(
       runs, [&] { return rng_.lognormal(base, gpu_.timing_jitter_sigma); });
 }
 

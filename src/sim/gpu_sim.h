@@ -54,9 +54,11 @@ class KernelTimer {
       const gpumodel::KernelCharacteristics& kc) = 0;
 
   /// Arithmetic mean of `runs` observations (paper: mean of ten runs),
-  /// one run_launch_seconds call per run. A simulator whose expected time
-  /// is a pure function of `kc` overrides this to compute it once per
-  /// measurement; the draws and the mean stay bit-identical.
+  /// one run_launch_seconds call per run. Simulators override this to
+  /// measure faster: GpuSimulator computes its expected time once per
+  /// measurement, EventGpuSimulator runs big measurements' runs on helper
+  /// threads. Each override's draws, mean and final stream stay
+  /// bit-identical to this loop's (the fold is sim/running_mean.h).
   virtual double measure_launch_seconds(
       const gpumodel::KernelCharacteristics& kc, int runs);
 };

@@ -122,6 +122,21 @@ void Rng::fill_lognormal(double median, double sigma, double* dst,
     dst[i] = median * std::exp(sigma * dst[i]);
 }
 
+void Rng::discard_normals(std::uint64_t n) {
+  if (n == 0) return;
+  if (have_cached_normal_) {
+    have_cached_normal_ = false;
+    --n;
+  }
+  // A whole pair consumes two uniforms and leaves no cache behind.
+  for (std::uint64_t pairs = n / 2; pairs > 0; --pairs) {
+    next_u64();
+    next_u64();
+  }
+  // An odd tail draws a pair and caches its second value, as normal() does.
+  if (n % 2 != 0) normal();
+}
+
 bool Rng::bernoulli(double p) {
   GROPHECY_EXPECTS(p >= 0.0 && p <= 1.0);
   return uniform() < p;

@@ -57,6 +57,12 @@ class Rng {
   void fill_lognormal(double median, double sigma, double* dst,
                       std::size_t n);
 
+  /// Advances the stream exactly as `n` successive `normal()` calls
+  /// would, Box-Muller pair cache included, without computing the values
+  /// it skips: a whole pair costs two raw draws. Lets a caller find where
+  /// a later consumer of a known number of normals starts.
+  void discard_normals(std::uint64_t n);
+
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);
 

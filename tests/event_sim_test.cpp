@@ -4,6 +4,12 @@
 // and diverge in the documented directions for tails and jitter.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/grophecy.h"
 #include "gpumodel/explorer.h"
 #include "hw/registry.h"
@@ -11,6 +17,7 @@
 #include "sim/gpu_sim.h"
 #include "skeleton/builder.h"
 #include "support/reference_event_sim.h"
+#include "util/contracts.h"
 #include "workloads/srad.h"
 #include "workloads/workload.h"
 
@@ -146,6 +153,121 @@ TEST(EventSim, PluggedIntoTheProjectionPipeline) {
   // And the paper's conclusion is simulator-agnostic.
   EXPECT_LT(fluid_report.speedup_error_both_pct(),
             fluid_report.speedup_error_kernel_only_pct());
+}
+
+// The per-run loop every parallel measurement must reproduce: one
+// run_launch_seconds call per run on the calling thread.
+double per_run_loop(EventGpuSimulator& sim, const KernelCharacteristics& kc,
+                    int runs) {
+  return sim.KernelTimer::measure_launch_seconds(kc, runs);
+}
+
+// measure_launch_seconds runs big measurements on helper threads, each
+// run starting from a stream computed up front; the mean must be the
+// per-run loop's, bit for bit, and leave the stream in the same place.
+TEST(EventGpuSimulator, MeasureEqualsThePerRunLoopBitForBit) {
+  // 64 and 65 blocks stay below the helper threshold at every run count;
+  // 4,096 and 4,097 cross it from two runs on. A jittered run draws
+  // num_blocks + 1 normals, so with an even block count the Box-Muller
+  // cache carries across run boundaries.
+  const KernelCharacteristics kernels[] = {
+      characterize_first(streaming_app(64 * 256)),
+      characterize_first(streaming_app(65 * 256)),
+      characterize_first(streaming_app(4096 * 256)),
+      characterize_first(streaming_app(4097 * 256))};
+  ASSERT_EQ(kernels[1].num_blocks, 65);
+  ASSERT_EQ(kernels[3].num_blocks, 4097);
+  hw::GpuSpec quiet = g80();
+  quiet.timing_jitter_sigma = 0.0;
+  for (const hw::GpuSpec& gpu : {g80(), quiet}) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xFEEDULL}) {
+      EventGpuSimulator parallel(gpu, seed);
+      EventGpuSimulator serial(gpu, seed);
+      for (const KernelCharacteristics& kc : kernels) {
+        for (const int runs : {1, 3, 10, 17}) {
+          // Measure once as the stream stands and once after a run that
+          // draws an odd count (65, or 1 without jitter), so every
+          // measurement starts both with and without a cached normal.
+          for (const bool flip : {false, true}) {
+            if (flip) {
+              ASSERT_EQ(parallel.run_launch_seconds(kernels[0]),
+                        serial.run_launch_seconds(kernels[0]));
+            }
+            const double mean = parallel.measure_launch_seconds(kc, runs);
+            const double oracle = per_run_loop(serial, kc, runs);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(mean),
+                      std::bit_cast<std::uint64_t>(oracle))
+                << "sigma " << gpu.timing_jitter_sigma << ", seed " << seed
+                << ", blocks " << kc.num_blocks << ", runs " << runs
+                << ", flip " << flip;
+          }
+        }
+      }
+      EXPECT_EQ(parallel.run_launch_seconds(kernels[0]),
+                serial.run_launch_seconds(kernels[0]));
+    }
+  }
+}
+
+// A kernel no block of which fits on an SM fails every run; the
+// measurement must throw the per-run loop's first failure and leave the
+// stream where that loop leaves it.
+TEST(EventGpuSimulator, InfeasibleKernelThrowsLikeThePerRunLoop) {
+  KernelCharacteristics kc = characterize_first(streaming_app(4096 * 256));
+  kc.regs_per_thread = 64;  // 256 threads x 64 registers > one SM's file
+  ASSERT_EQ(gpumodel::compute_occupancy(g80(), kc.variant.block_size,
+                                        kc.regs_per_thread,
+                                        kc.smem_per_block_bytes)
+                .blocks_per_sm,
+            0);
+  EventGpuSimulator parallel(g80(), 3);
+  EventGpuSimulator serial(g80(), 3);
+  auto failure = [&](auto&& measure) -> std::string {
+    try {
+      (void)measure();
+    } catch (const ContractViolation& error) {
+      return error.what();
+    }
+    return "no exception";
+  };
+  const std::string oracle =
+      failure([&] { return per_run_loop(serial, kc, 10); });
+  EXPECT_NE(oracle, "no exception");
+  EXPECT_EQ(failure([&] { return parallel.measure_launch_seconds(kc, 10); }),
+            oracle);
+  const KernelCharacteristics feasible =
+      characterize_first(streaming_app(1 << 20));
+  EXPECT_EQ(parallel.run_launch_seconds(feasible),
+            serial.run_launch_seconds(feasible));
+}
+
+// Concurrent measurements share one process-wide helper budget, so most
+// calls here get no helper and run the per-run loop; every mean must
+// still equal the loop's.
+TEST(EventGpuSimulator, ConcurrentMeasurementsMatchThePerRunLoop) {
+  constexpr int kThreads = 8;
+  constexpr int kMeasurements = 3;
+  constexpr int kRuns = 10;
+  const KernelCharacteristics kc = characterize_first(streaming_app(1 << 20));
+  double oracle[kThreads][kMeasurements] = {};
+  for (int t = 0; t < kThreads; ++t) {
+    EventGpuSimulator serial(g80(), 100 + static_cast<std::uint64_t>(t));
+    for (double& mean : oracle[t]) mean = per_run_loop(serial, kc, kRuns);
+  }
+  double measured[kThreads][kMeasurements] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      EventGpuSimulator sim(g80(), 100 + static_cast<std::uint64_t>(t));
+      for (double& mean : measured[t])
+        mean = sim.measure_launch_seconds(kc, kRuns);
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (int m = 0; m < kMeasurements; ++m)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(measured[t][m]),
+                std::bit_cast<std::uint64_t>(oracle[t][m]))
+          << "thread " << t << ", measurement " << m;
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -300,6 +301,64 @@ TEST(SimEquivalence, CohortStatsReflectTheLastSimulation) {
   EXPECT_EQ(jittered_stats.blocks, kc.num_blocks);
   EXPECT_GT(jittered_stats.cohorts, 0u);
   EXPECT_EQ(jittered_stats.generations, 0u);
+}
+
+// A jittered launch draws exactly one normal per block, degenerate
+// zero-demand blocks included, on either placement path.
+// EventGpuSimulator::measure_launch_seconds computes where each of its
+// parallel runs starts from this count.
+TEST(CohortEngine, JitteredRunDrawsOneNormalPerBlock) {
+  const hw::GpuSpec gpu = g80();
+  KernelCharacteristics busy;
+  busy.kernel_name = "busy";
+  busy.flops_per_thread = 40.0;
+  busy.accesses.push_back(MemAccess{});
+  KernelCharacteristics zero;  // no compute, memory or floor demand
+  zero.kernel_name = "zero";
+
+  // 10 registers fit several 128-thread blocks per SM (the general loop);
+  // 32 registers at 256 threads fit one (the solo path).
+  for (const auto& [block_size, regs, solo] :
+       {std::tuple{128, 10u, false}, std::tuple{256, 32u, true}}) {
+    const gpumodel::Occupancy occ =
+        gpumodel::compute_occupancy(gpu, block_size, regs, 0);
+    ASSERT_EQ(occ.blocks_per_sm == 1, solo);
+    const std::int64_t capacity =
+        static_cast<std::int64_t>(occ.blocks_per_sm) * gpu.num_sms;
+    for (KernelCharacteristics kc : {busy, zero}) {
+      kc.variant.block_size = block_size;
+      kc.regs_per_thread = regs;
+      for (const std::int64_t blocks :
+           {std::int64_t{1}, std::int64_t{2}, capacity - 1, capacity,
+            3 * capacity + 7}) {
+        kc.num_blocks = blocks;
+        for (const bool cached : {false, true}) {
+          util::Rng simulated(5);
+          util::Rng skipped(5);
+          if (cached) {
+            (void)simulated.normal();
+            (void)skipped.normal();
+          }
+          CohortEngine engine;
+          (void)engine.simulate_jittered(kc, gpu, gpu.timing_jitter_sigma,
+                                         simulated);
+          // The zero kernel's blocks all retire at placement.
+          EXPECT_EQ(engine.stats().cohorts,
+                    kc.kernel_name == "zero"
+                        ? 0u
+                        : static_cast<std::uint64_t>(blocks));
+          skipped.discard_normals(static_cast<std::uint64_t>(blocks));
+          for (int i = 0; i < 2; ++i)
+            ASSERT_EQ(simulated.normal(), skipped.normal())
+                << kc.kernel_name << " solo=" << solo << " blocks=" << blocks
+                << " cached=" << cached;
+          ASSERT_EQ(simulated.next_u64(), skipped.next_u64())
+              << kc.kernel_name << " solo=" << solo << " blocks=" << blocks
+              << " cached=" << cached;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 //     and journal bytes equal across workers in {1, 2, 8};
 //   * real-pipeline sweeps through exec::SweepRequest: every job's
 //     ProjectionReport equals the serial run bit-for-bit (per-job seeds
-//     make results a pure function of the spec);
+//     make results a pure function of the spec), and a detailed_sim
+//     sweep, whose kernel measurements run on helper threads, journals
+//     and describes the same bytes with 1 and 4 workers;
 //   * per-job seeding: stream_seed is a pure decorrelated function of
 //     (base seed, spec identity);
 //   * the chaos scenario under 8 workers: FaultInjector-scripted hangs
@@ -21,7 +23,10 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "dataflow/usage_cache.h"
 #include "exec/journal.h"
@@ -268,6 +273,40 @@ TEST(SweepDeterminism, JournalBytesEqualCacheColdAndCacheWarmAcrossWorkers) {
     EXPECT_EQ(run(workers, true, "cold_w" + tag), cold_serial) << workers;
     EXPECT_EQ(run(workers, false, "warm_w" + tag), cold_serial) << workers;
   }
+}
+
+// With detailed_sim each kernel measurement runs its ten runs on helper
+// threads when it is big enough, and concurrent sweep workers share one
+// helper budget. None of that may reach a journaled byte.
+TEST(SweepDeterminism, DetailedSimJournalAndSummaryEqualAcrossWorkerCounts) {
+  core::ProjectionOptions detailed;
+  detailed.detailed_sim = true;
+  const SweepRequest request =
+      SweepRequest::on(hw::anl_eureka()).options(detailed);
+  std::vector<JobSpec> jobs;
+  for (const auto& [workload, size] :
+       {std::pair{"CFD", "97K"}, std::pair{"HotSpot", "512 x 512"},
+        std::pair{"SRAD", "1024 x 1024"}, std::pair{"Stassuij", "132 x 2048"}}) {
+    const std::vector<JobSpec> cell =
+        SweepRequest(request).workloads({workload}).sizes({size}).jobs();
+    jobs.insert(jobs.end(), cell.begin(), cell.end());
+  }
+  auto run = [&](int workers) {
+    TempJournal journal("detailed_w" + std::to_string(workers));
+    SweepOptions options;
+    options.workers = workers;
+    options.journal_path = journal.path();
+    options.record_wall_time = false;
+    SweepEngine engine(options);
+    const SweepSummary summary = engine.run(jobs, request.job_fn());
+    EXPECT_EQ(summary.ok, 4) << summary.describe();
+    return std::pair{journal.bytes(), summary.describe()};
+  };
+  const auto serial = run(1);
+  ASSERT_FALSE(serial.first.empty());
+  const auto parallel = run(4);
+  EXPECT_EQ(parallel.first, serial.first);
+  EXPECT_EQ(parallel.second, serial.second);
 }
 
 TEST(SweepDeterminism, RequestJobsExpandDeterministically) {

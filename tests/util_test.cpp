@@ -3,7 +3,9 @@
 // tables, CSV quoting, contract checking, and the logger's level check.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/contracts.h"
@@ -161,6 +163,32 @@ TEST(Rng, FillZeroLengthLeavesTheStreamUntouched) {
   a.fill_normal(nullptr, 0);
   a.fill_lognormal(1.0, 0.1, nullptr, 0);
   ASSERT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(Rng, DiscardNormalsEqualsThatManyNormalCalls) {
+  std::vector<std::uint64_t> counts;
+  for (std::uint64_t n = 0; n <= 64; ++n) counts.push_back(n);
+  counts.push_back(262145);  // one jittered run of a 262,144-block grid
+  for (const bool cached : {false, true}) {
+    for (const std::uint64_t n : counts) {
+      Rng drawn(2024);
+      Rng skipped(2024);
+      if (cached) {
+        // Each draws one pair and keeps its second value cached.
+        (void)drawn.normal();
+        (void)skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < n; ++i) (void)drawn.normal();
+      skipped.discard_normals(n);
+      // Three draws read the cache left behind and a fresh pair.
+      for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(drawn.normal()),
+                  std::bit_cast<std::uint64_t>(skipped.normal()))
+            << "n=" << n << " cached=" << cached << " draw " << i;
+      ASSERT_EQ(drawn.next_u64(), skipped.next_u64())
+          << "n=" << n << " cached=" << cached;
+    }
+  }
 }
 
 TEST(Rng, BernoulliFrequencyMatchesP) {
